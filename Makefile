@@ -35,16 +35,14 @@ docs:
 	$(GO) run ./cmd/doclint -md README.md DESIGN.md EXPERIMENTS.md docs
 
 # Race smoke: the parallel-runner determinism regression, the
-# per-machine shared-state audit, the VPN-sharded machine's
-# seq≡parallel byte-identity (its private-state-per-worker claim is
-# exactly what -race checks), the tenant-sharded run's byte-identity
-# (whole tenants routed across shards, DESIGN.md §13), the codec/dist
+# per-machine shared-state audit, tenant cells on parallel workers
+# (inline scheduler and baton fallback, DESIGN.md §13), the codec/dist
 # suites, and the multi-tenant scheduler (whole package: the inline
 # scheduler runs on one goroutine and the baton fallback claims
 # exactly one runnable goroutine, both of which -race checks), all
 # with CI-sized budgets.
 race:
-	$(GO) test -race -run 'TestRunMatrixDeterminism|TestRunnerCancellation|TestRunnerProgress|TestEventTraceGolden|TestMachinesAreIndependent|TestDistinctPoliciesShareNothing|TestScenarioMatrixDeterminism|TestTenantTraceDeterminism|TestShardedSeqParallelIdentical|TestShardedOneShardMatchesMachine|TestShardedTenantsSeqParallelIdentical' ./internal/bench ./internal/sim
+	$(GO) test -race -run 'TestRunMatrixDeterminism|TestRunnerCancellation|TestRunnerProgress|TestEventTraceGolden|TestMachinesAreIndependent|TestDistinctPoliciesShareNothing|TestScenarioMatrixDeterminism|TestTenantTraceDeterminism' ./internal/bench ./internal/sim
 	$(GO) test -race -run 'TestSharedRunnerParallelDeterminism' ./internal/scenario
 	$(GO) test -race ./internal/trace ./internal/dist ./internal/obs ./internal/tenant
 

@@ -30,25 +30,12 @@
 //	memtis-sim -workload silo -policy memtis -tenants 4 -tenant-skew 8to1
 //	memtis-sim -workload btree -tenants 8 -tenant-churn 0.5 -tenant-floor 8388608
 //	memtis-sim -scenario examples/scenarios/tenants.json -policy memtis
-//	memtis-sim -workload silo -policy memtis -shards 8
-//	memtis-sim -workload silo -policy memtis -tenants 8 -shards 4
 //	memtis-sim -list
 //
 // Multi-tenancy (-tenants N, or a spec file with a "tenants" section)
 // runs N contending address spaces under one policy daemon with
 // fairness/QoS arbitration (weights, fast-tier floors, churn); the
 // result gains a per-tenant accounting table. See DESIGN.md §10.
-//
-// Sharded parallel simulation (-shards S) runs S worker goroutines,
-// each owning a slice of the machine. Alone it splits one address
-// space by 2MB block and drives a synthetic Zipf stream over the
-// named workload's footprint; combined with -tenants it routes whole
-// tenants — each a synthetic 80/20 stream over the workload's
-// footprint, since the benchmark models cannot be replayed lane-side —
-// across the shards, each shard arbitrating its local fast tier, and
-// the per-shard table precedes the merged per-tenant rows.
-// Both modes are byte-identical to their sequential reference. See
-// DESIGN.md §12-§13.
 package main
 
 import (
@@ -99,7 +86,6 @@ func main() {
 		tSkew    = flag.String("tenant-skew", "flat", "tenant promotion-weight skew: flat, or 8to1 (tenant 0 gets 8x weight)")
 		tChurn   = flag.Float64("tenant-churn", 0, "fraction of tenants after the first that spawn at 10% and exit at 70% of the run")
 		tFloor   = flag.Uint64("tenant-floor", 0, "guaranteed fast-tier bytes for tenant 0 (QoS floor)")
-		shards   = flag.Int("shards", 1, "split the machine across N sharded worker goroutines: alone, a synthetic zipf stream VPN-sharded over -workload's footprint; with -tenants, whole tenants routed across the shards (single-run mode only)")
 	)
 	flag.Parse()
 
@@ -222,37 +208,11 @@ func main() {
 			fmt.Fprintln(os.Stderr, "-depth needs a single-tenant -workload run to derive tier sizes from; use -topology with -tenants")
 			os.Exit(2)
 		}
-		if *shards > 1 {
-			switch {
-			case cfg.Topology != nil:
-				fmt.Fprintln(os.Stderr, "-shards supports the two-tier machine only; drop -topology")
-				os.Exit(2)
-			case *traceOut != "" || *series != "":
-				fmt.Fprintln(os.Stderr, "-shards has no trace/series output yet: each shard has a private clock")
-				os.Exit(2)
-			}
-		}
-		runTenantsMode(cfg, *wname, *pname, *ratio, *tenants, *tSkew, *tChurn, *tFloor, *traceOut, *baseline, *shards)
+		runTenantsMode(cfg, *wname, *pname, *ratio, *tenants, *tSkew, *tChurn, *tFloor, *traceOut, *baseline)
 		return
 	}
 
 	r := parseRatio(*ratio)
-
-	if *shards > 1 {
-		switch {
-		case *depth != 0 || cfg.Topology != nil:
-			fmt.Fprintln(os.Stderr, "-shards supports the two-tier machine only; drop -depth/-topology")
-			os.Exit(2)
-		case *traceOut != "" || *series != "":
-			fmt.Fprintln(os.Stderr, "-shards has no trace/series output yet: each shard has a private clock")
-			os.Exit(2)
-		case *baseline:
-			fmt.Fprintln(os.Stderr, "-baseline compares real workload runs; the sharded stream is synthetic — drop one of the flags")
-			os.Exit(2)
-		}
-		runShardedMode(cfg, *wname, *pname, r, *shards)
-		return
-	}
 
 	// Validate names up front: a typo is a usage error, not a panic.
 	knownW := false
@@ -307,10 +267,8 @@ func main() {
 // runTenantsMode is the -tenants N path: N instances of the named
 // workload contend in separate address spaces under one policy, with
 // the weight skew, churn plan and tenant-0 floor from the flags. The
-// per-tenant accounting table follows the usual metrics block. With
-// shards > 1 whole tenants route across an S-shard machine
-// (DESIGN.md §13) and a per-shard table precedes the tenant rows.
-func runTenantsMode(cfg bench.Config, wname, pname, ratio string, n int, skew string, churn float64, floor uint64, traceOut string, baseline bool, shards int) {
+// per-tenant accounting table follows the usual metrics block.
+func runTenantsMode(cfg bench.Config, wname, pname, ratio string, n int, skew string, churn float64, floor uint64, traceOut string, baseline bool) {
 	if !bench.KnownPolicy(pname) {
 		fmt.Fprintf(os.Stderr, "unknown policy %q (see -list)\n", pname)
 		os.Exit(2)
@@ -329,19 +287,10 @@ func runTenantsMode(cfg bench.Config, wname, pname, ratio string, n int, skew st
 	specs := make([]tenant.Spec, n)
 	nChurn := int(churn * float64(n))
 	for i := range specs {
-		name := fmt.Sprintf("t%02d", i)
 		specs[i] = tenant.Spec{
-			Name:     name,
+			Name:     fmt.Sprintf("t%02d", i),
 			Weight:   1,
 			Workload: workload.MustNew(wname),
-		}
-		if shards > 1 {
-			// The sharded driver replays workloads lane-side and needs
-			// resumable steppers; the benchmark models issue their init
-			// phases against the machine and cannot be replayed. As in
-			// the plain -shards mode, a synthetic stream over the same
-			// footprint stands in: the sweep's 80/20 tenant mix.
-			specs[i].Workload = bench.NewTenantLoad(name, per)
 		}
 		if skew == "8to1" && i == 0 {
 			specs[i].Weight = 8
@@ -358,28 +307,6 @@ func runTenantsMode(cfg bench.Config, wname, pname, ratio string, n int, skew st
 		os.Exit(2)
 	}
 	rss := per * uint64(n)
-	if shards > 1 {
-		sr, err := bench.RunTenantsSharded(tn, rss, pname, r, cfg, shards)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "memtis-sim: -tenants -shards:", err)
-			os.Exit(2)
-		}
-		fmt.Printf("workload        %s x %d tenants (synthetic 80/20 streams over its footprint; skew %s, churn %.0f%%, %d shards)\n",
-			wname, n, skew, churn*100, shards)
-		printResult(sr.Aggregate, r.Name, cfg, cfg.Faults.Enabled())
-		printShards(sr.Shards)
-		printTenants(sr.Aggregate)
-		if baseline {
-			b, err := bench.RunTenantsSharded(tn, rss, "all-capacity", r, cfg, shards)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "memtis-sim: -baseline:", err)
-				os.Exit(1)
-			}
-			fmt.Printf("normalized perf %.3f (vs all-%s)\n",
-				bench.Norm(sr.Aggregate, b.Aggregate), cfg.CapKind)
-		}
-		return
-	}
 	flushTrace := setupTrace(&cfg, traceOut)
 	res := bench.RunTenants(tn, rss, pname, r, cfg)
 	cfg.Trace = nil
@@ -393,37 +320,6 @@ func runTenantsMode(cfg bench.Config, wname, pname, ratio string, n int, skew st
 	if baseline {
 		b := bench.RunTenants(tn, rss, "all-capacity", r, cfg)
 		fmt.Printf("normalized perf %.3f (vs all-%s)\n", bench.Norm(res, b), cfg.CapKind)
-	}
-}
-
-// runShardedMode is the -shards S path: the named workload's footprint
-// drives a synthetic Zipf stream over an S-shard machine (DESIGN.md
-// §12); the aggregate result block is followed by a per-shard table.
-func runShardedMode(cfg bench.Config, wname, pname string, r bench.Ratio, shards int) {
-	if !bench.KnownPolicy(pname) {
-		fmt.Fprintf(os.Stderr, "unknown policy %q (see -list)\n", pname)
-		os.Exit(2)
-	}
-	w, err := workload.New(wname)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "unknown workload %q (see -list)\n", wname)
-		os.Exit(2)
-	}
-	sr := bench.RunSharded(pname, shards, w.Spec().RSSBytes(), r, cfg)
-	fmt.Printf("workload        %s (synthetic zipf over %s footprint, %d shards)\n",
-		sr.Aggregate.Workload, wname, shards)
-	printResult(sr.Aggregate, r.Name, cfg, cfg.Faults.Enabled())
-	printShards(sr.Shards)
-}
-
-// printShards prints the per-shard breakdown of a sharded run.
-func printShards(shards []sim.Result) {
-	fmt.Printf("per-shard       %-6s %12s %10s %10s %10s %12s\n",
-		"shard", "accesses", "fast-hit", "promo", "demo", "virtual ms")
-	for i, res := range shards {
-		fmt.Printf("                s%-5d %12d %9.2f%% %10d %10d %12.3f\n",
-			i, res.Accesses, res.FastHitRatio*100, res.VM.Promotions, res.VM.Demotions,
-			float64(res.AppNS)/1e6)
 	}
 }
 

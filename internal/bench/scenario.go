@@ -6,19 +6,15 @@
 package bench
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"sync"
 
-	"memtis/internal/obs"
 	"memtis/internal/scenario"
 	"memtis/internal/sim"
-	"memtis/internal/tenant"
 	"memtis/internal/tier"
 )
 
@@ -195,28 +191,18 @@ func HuntParams(seed uint64) (string, Ratio) {
 // HuntShape derives the seed's machine-shape extensions: the hierarchy
 // depth (2 keeps the classic two-tier pair; 3 and 4 insert derived
 // intermediate tiers), whether benefit admission gates migrations,
-// whether the rate-limited background mover is on, and the
-// sharded-tenant shape — shards > 1 adds a tenant-sharded
-// byte-identity cross-check (DESIGN.md §13) to the iteration. Like
+// and whether the rate-limited background mover is on. Like
 // HuntParams it is a pure function of the seed, so the fuzzer sweeps
-// the deep-hierarchy, mover/admission and tenant-sharding surfaces
-// with no extra inputs and a CI failure still reproduces from the
-// seed alone.
-func HuntShape(seed uint64) (depth int, admission, mover bool, shards int) {
+// the deep-hierarchy and mover/admission surfaces with no extra inputs
+// and a CI failure still reproduces from the seed alone.
+func HuntShape(seed uint64) (depth int, admission, mover bool) {
 	h := splitmix64(seed ^ fnv1a("hunt-shape"))
 	depth = 2 + int(h%3)
 	h = splitmix64(h)
 	admission = h%2 == 1
 	h = splitmix64(h)
 	mover = h%2 == 1
-	// The draws above are unchanged, so adding the shard draw preserves
-	// every historical seed's (depth, admission, mover) shape.
-	h = splitmix64(h)
-	shards = 1
-	if h%2 == 1 {
-		shards = 2 << (splitmix64(h) % 2) // 2 or 4
-	}
-	return depth, admission, mover, shards
+	return depth, admission, mover
 }
 
 // HuntResult is one scenario-fuzz iteration's outcome.
@@ -224,13 +210,11 @@ type HuntResult struct {
 	Seed   uint64
 	Policy string
 	Ratio  Ratio
-	// Depth, Admission, Mover and Shards record the seed's machine
-	// shape (see HuntShape); Shards > 1 means the iteration also ran
-	// the tenant-sharded byte-identity cross-check.
+	// Depth, Admission and Mover record the seed's machine shape (see
+	// HuntShape).
 	Depth     int
 	Admission bool
 	Mover     bool
-	Shards    int
 	Spec      scenario.Spec
 	Result    sim.Result
 	// Violations lists the conformance-contract breaches the probe saw
@@ -261,7 +245,7 @@ func HuntScenario(seed uint64, accesses uint64, reproDir string) (HuntResult, er
 		accesses = 100_000
 	}
 	pol, rt := HuntParams(seed)
-	depth, admit, mover, shards := HuntShape(seed)
+	depth, admit, mover := HuntShape(seed)
 	cfg := DefaultConfig()
 	cfg.Accesses = accesses
 	cfg.Seed = int64(splitmix64(seed ^ fnv1a("hunt-machine")))
@@ -280,7 +264,7 @@ func HuntScenario(seed uint64, accesses uint64, reproDir string) (HuntResult, er
 		cfg.Mover = mc
 	}
 	out := HuntResult{Seed: seed, Policy: pol, Ratio: rt,
-		Depth: depth, Admission: admit, Mover: mover, Shards: shards,
+		Depth: depth, Admission: admit, Mover: mover,
 		Spec: scenario.Generate(seed)}
 	run := func(spec scenario.Spec) ([]string, sim.Result, error) {
 		sc, err := scenario.Compile(spec, scenario.Options{})
@@ -322,25 +306,15 @@ func HuntScenario(seed uint64, accesses uint64, reproDir string) (HuntResult, er
 		// Generate promises compilable specs; surface the bug, don't hunt on.
 		return out, fmt.Errorf("bench: hunt seed %#x: %w", seed, err)
 	}
-	scenarioFailed := out.Failed()
-	if shards > 1 {
-		out.Violations = append(out.Violations, huntTenantShards(seed, shards, pol, accesses)...)
-	}
 	if !out.Failed() {
-		return out, nil
-	}
-	if !scenarioFailed {
-		// Only the sharded-tenant cross-check failed; its violation
-		// strings carry the full reproduction context and there is no
-		// scenario spec to shrink.
 		return out, nil
 	}
 	out.Minimal = scenario.Shrink(out.Spec, func(cand scenario.Spec) bool {
 		v, _, err := run(cand)
 		return err == nil && len(v) > 0
 	})
-	out.Minimal.Note = fmt.Sprintf("seed=%#x policy=%s ratio=%s depth=%d admission=%t mover=%t shards=%d accesses=%d: %s",
-		seed, pol, rt.Name, depth, admit, mover, shards, accesses, out.Violations[0])
+	out.Minimal.Note = fmt.Sprintf("seed=%#x policy=%s ratio=%s depth=%d admission=%t mover=%t accesses=%d: %s",
+		seed, pol, rt.Name, depth, admit, mover, accesses, out.Violations[0])
 	if reproDir != "" {
 		if err := os.MkdirAll(reproDir, 0o755); err != nil {
 			return out, fmt.Errorf("bench: hunt repro dir: %w", err)
@@ -356,87 +330,4 @@ func HuntScenario(seed uint64, accesses uint64, reproDir string) (HuntResult, er
 		out.ReproPath = path
 	}
 	return out, nil
-}
-
-// huntTenantShards is the hunt's sharded-tenant leg: a seed-derived
-// tenant mix runs twice on the same S-shard machine — once in the
-// Sequential reference mode, once with parallel lanes — and any byte
-// difference in the per-shard event traces, or any divergence in the
-// per-shard results, aggregate or merged arbiter state, is a
-// conformance violation (the byte-identity DESIGN.md §13 promises).
-// Like the scenario leg it is a pure function of its inputs, so a CI
-// failure reproduces from the seed alone; the violation strings carry
-// the derived mix so a failure is legible without re-deriving it.
-func huntTenantShards(seed uint64, shards int, pol string, accesses uint64) []string {
-	h := splitmix64(seed ^ fnv1a("hunt-tenant-shards"))
-	counts := [...]int{2, 4, 8, 16}
-	tenants := counts[h%uint64(len(counts))]
-	h = splitmix64(h)
-	skew := "flat"
-	if h%2 == 1 {
-		skew = "8to1"
-	}
-	h = splitmix64(h)
-	var churn float64
-	if h%2 == 1 {
-		churn = 0.5
-	}
-	run := func(sequential bool) ([][]byte, *tenant.ShardedResult, error) {
-		tc, rss := TenantMix(TenantPoint{Tenants: tenants, Skew: skew, ChurnFrac: churn}, 2<<20)
-		tn, err := tenant.New(tc)
-		if err != nil {
-			return nil, nil, err
-		}
-		bufs := make([]*bytes.Buffer, shards)
-		sinks := make([]*obs.JSONL, shards)
-		sr, err := tn.RunSharded(tenant.ShardedConfig{
-			Shards:     shards,
-			Sequential: sequential,
-			Machine: sim.Config{
-				FastBytes: rss / 4,
-				CapBytes:  rss + rss/4 + 16*tier.HugePageSize,
-				CapKind:   tier.NVM,
-				THP:       true,
-				Seed:      int64(splitmix64(seed ^ fnv1a("hunt-tenant-machine"))),
-			},
-			PolicyFor: func(int) sim.Policy { return NewPolicy(pol) },
-			TraceFor: func(i int) *obs.Tracer {
-				bufs[i] = &bytes.Buffer{}
-				sinks[i] = obs.NewJSONL(bufs[i])
-				return obs.NewTracer(sinks[i])
-			},
-		}, accesses)
-		if err != nil {
-			return nil, nil, err
-		}
-		traces := make([][]byte, shards)
-		for i := range bufs {
-			if err := sinks[i].Flush(); err != nil {
-				return nil, nil, err
-			}
-			traces[i] = bufs[i].Bytes()
-		}
-		return traces, sr, nil
-	}
-	ctx := fmt.Sprintf("tenant-shards seed=%#x policy=%s tenants=%d skew=%s churn=%.1f shards=%d",
-		seed, pol, tenants, skew, churn, shards)
-	seqTr, seqRes, err := run(true)
-	if err != nil {
-		return []string{fmt.Sprintf("%s: sequential run: %v", ctx, err)}
-	}
-	parTr, parRes, err := run(false)
-	if err != nil {
-		return []string{fmt.Sprintf("%s: parallel run: %v", ctx, err)}
-	}
-	var v []string
-	for i := 0; i < shards; i++ {
-		if !bytes.Equal(seqTr[i], parTr[i]) {
-			v = append(v, fmt.Sprintf("%s: shard %d parallel trace differs from sequential (%d vs %d bytes)",
-				ctx, i, len(parTr[i]), len(seqTr[i])))
-		}
-	}
-	if !reflect.DeepEqual(seqRes, parRes) {
-		v = append(v, fmt.Sprintf("%s: parallel result diverges from the sequential reference", ctx))
-	}
-	return v
 }

@@ -316,9 +316,12 @@ func TestTenantChurnProperty(t *testing.T) {
 // TestTenantTraceDeterminism extends the event-trace golden to the
 // multi-tenant scheduler: the same seed must produce byte-identical
 // per-tenant event traces (spawns, switches, exits interleaved with
-// migrations) whether cells run sequentially or on eight workers. Run
-// under -race this also proves the baton scheduler never lets two
-// tenant goroutines touch the machine concurrently.
+// migrations) whether cells run sequentially or on eight workers. Two
+// inputs cover both execution modes: scenario tenants run on the
+// goroutine baton, and a TenantSweep cell of TenantLoad streamers runs
+// on the inline scheduler. Under -race this proves the baton never
+// lets two tenant goroutines touch the machine concurrently and that
+// inline cells on different workers share no scheduler state.
 func TestTenantTraceDeterminism(t *testing.T) {
 	mk := func(name string) []scenario.Phase {
 		return []scenario.Phase{
@@ -345,26 +348,45 @@ func TestTenantTraceDeterminism(t *testing.T) {
 		}
 		return readTraces(t, c.EventDir)
 	}
-	seq := runInto(Sequential())
-	par := runInto(Parallel(8))
-	if len(seq) == 0 {
-		t.Fatal("no traces written")
-	}
-	for name, data := range seq {
-		if len(data) == 0 {
-			t.Fatalf("%s is empty", name)
+	pt := TenantPoint{Tenants: 4, Skew: "8to1", ChurnFrac: 0.5}
+	sweepInto := func(r *Runner) map[string][]byte {
+		c := cfg
+		c.EventDir = t.TempDir()
+		if _, err := r.TenantSweep(context.Background(), c, Ratio1to8,
+			[]string{"memtis", "tpp"}, []TenantPoint{pt}); err != nil {
+			t.Fatal(err)
 		}
-		if !bytes.Equal(data, par[name]) {
-			t.Fatalf("%s differs between sequential and 8-worker runs", name)
+		return readTraces(t, c.EventDir)
+	}
+	for _, in := range []struct {
+		name string
+		run  func(*Runner) map[string][]byte
+		cell string
+	}{
+		{"baton", runInto, "multideterminism_1to8_memtis.events.jsonl"},
+		{"inline", sweepInto, "tenants_" + fileSafe(tenantCoord(Ratio1to8, pt)) + "_memtis.events.jsonl"},
+	} {
+		seq := in.run(Sequential())
+		par := in.run(Parallel(8))
+		if len(seq) == 0 {
+			t.Fatalf("%s: no traces written", in.name)
 		}
-	}
-	cell, ok := seq["multideterminism_1to8_memtis.events.jsonl"]
-	if !ok {
-		t.Fatalf("cell trace missing; files: %v", keys(seq))
-	}
-	for _, kind := range []string{"tenant_spawn", "tenant_switch", "tenant_exit"} {
-		if !bytes.Contains(cell, []byte(kind)) {
-			t.Fatalf("trace has no %s events", kind)
+		for name, data := range seq {
+			if len(data) == 0 {
+				t.Fatalf("%s: %s is empty", in.name, name)
+			}
+			if !bytes.Equal(data, par[name]) {
+				t.Fatalf("%s: %s differs between sequential and 8-worker runs", in.name, name)
+			}
+		}
+		cell, ok := seq[in.cell]
+		if !ok {
+			t.Fatalf("%s: cell trace missing; files: %v", in.name, keys(seq))
+		}
+		for _, kind := range []string{"tenant_spawn", "tenant_switch", "tenant_exit"} {
+			if !bytes.Contains(cell, []byte(kind)) {
+				t.Fatalf("%s: trace has no %s events", in.name, kind)
+			}
 		}
 	}
 }

@@ -55,8 +55,8 @@ func (t *TenantLoad) Run(m *sim.Machine, accesses uint64) {
 
 // Stream implements workload.Streamer: the reservation and the exact
 // SplitMix64 access stream of Run in resumable stepper form, so the
-// tenant scheduler drives the load inline (and the sharded tenant
-// driver replays it lane-side) with no goroutine parked per tenant.
+// tenant scheduler drives the load inline with no goroutine parked
+// per tenant.
 func (t *TenantLoad) Stream(env workload.Env) workload.Stream {
 	r := env.Reserve(t.bytes)
 	hot := r.Pages / 8
@@ -198,51 +198,11 @@ func RunTenants(tn *tenant.Runner, rss uint64, polName string, rt Ratio, cfg Con
 	return sim.Run(mc, NewPolicy(polName), tn, cfg.Accesses)
 }
 
-// RunTenantsSharded executes one tenant cell on an S-shard machine:
-// fast-tier sizing and seeding identical to RunTenants, but whole
-// tenants route across the shards (tenant.Runner.RunSharded) with one
-// fresh policy instance per shard. The capacity tier is provisioned
-// per shard at the full mix footprint: tenant routing places whole
-// address spaces, so a shard can end up hosting most of the mix (the
-// single-tenant reference puts everything on shard 0) and an evenly
-// divided capacity tier would run out of memory. Oversizing capacity
-// does not disturb the experiment — fast-tier contention is the
-// measured resource, and the unsharded capacity tier never fills
-// either. Trace and Topology are unsupported on sharded machines —
-// per-shard traces come from tenant.ShardedConfig.TraceFor, which
-// callers needing events must use directly.
-func RunTenantsSharded(tn *tenant.Runner, rss uint64, polName string, rt Ratio, cfg Config, shards int) (*tenant.ShardedResult, error) {
-	fast := uint64(float64(rss) * rt.FastFrac)
-	if fast < tier.HugePageSize*2 {
-		fast = tier.HugePageSize * 2
-	}
-	return tn.RunSharded(tenant.ShardedConfig{
-		Shards: shards,
-		Machine: sim.Config{
-			FastBytes: fast,
-			CapBytes:  uint64(shards) * (rss + rss/4 + 16*tier.HugePageSize),
-			CapKind:   cfg.CapKind,
-			THP:       true,
-			Threads:   cfg.Threads,
-			Seed:      cfg.Seed,
-			RecordNS:  cfg.RecordNS,
-			Faults:    cfg.Faults,
-			Admission: cfg.Admission,
-			Mover:     cfg.Mover,
-		},
-		PolicyFor: func(int) sim.Policy { return NewPolicy(polName) },
-	}, cfg.Accesses)
-}
-
 // TenantSweep runs every policy at every tenant point on one tiering
 // ratio. Points always include the single-tenant reference (prepended
 // when missing); each cell's Value is its throughput normalised to the
 // same policy's single-tenant run, so a value of 0.8 reads "this
 // policy loses 20% throughput under this degree of multi-tenancy".
-// With cfg.Shards > 1 every cell (including the single-tenant
-// reference) runs on an S-shard machine via RunTenantsSharded and
-// records the aggregate view, so sharded and unsharded sweeps stay
-// comparable cell for cell.
 func (r *Runner) TenantSweep(ctx context.Context, cfg Config, rt Ratio, pols []string, points []TenantPoint) (*Matrix, error) {
 	if pols == nil {
 		pols = Policies
@@ -252,9 +212,6 @@ func (r *Runner) TenantSweep(ctx context.Context, cfg Config, rt Ratio, pols []s
 	}
 	if points[0].Tenants != 1 {
 		points = append([]TenantPoint{{Tenants: 1, Skew: "flat"}}, points...)
-	}
-	if cfg.Shards > 1 && cfg.EventDir != "" {
-		return nil, fmt.Errorf("bench: tenant sweep: Shards and EventDir conflict — a sharded cell traces per shard, not per cell")
 	}
 	if cfg.EventDir != "" {
 		if err := os.MkdirAll(cfg.EventDir, 0o755); err != nil {
@@ -301,16 +258,7 @@ func (r *Runner) TenantSweep(ctx context.Context, cfg Config, rt Ratio, pols []s
 						fail(err)
 						return 0
 					}
-					if cfg.Shards > 1 {
-						sr, err := RunTenantsSharded(runners[ti], rsses[ti], p, rt, ccfg, cfg.Shards)
-						if err != nil {
-							fail(fmt.Errorf("bench: sharded tenant cell %s/%s: %w", coord, p, err))
-							return 0
-						}
-						results[slot] = sr.Aggregate
-					} else {
-						results[slot] = RunTenants(runners[ti], rsses[ti], p, rt, ccfg)
-					}
+					results[slot] = RunTenants(runners[ti], rsses[ti], p, rt, ccfg)
 					if err := closeTrace(); err != nil {
 						fail(err)
 					}

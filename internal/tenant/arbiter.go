@@ -26,13 +26,9 @@ type tenantCells struct {
 // and can only say no, so every policy inherits the same fairness
 // semantics without knowing tenants exist.
 //
-// An arbiter binds to one machine and the tenants hosted on it, not to
-// a scheduler: the plain runner builds one over the whole mix, the
-// sharded runner builds one per shard over that shard's local tenants
-// (each shard's fast tier is the only one its tenants contend for, so
-// the local mix is the correct contention domain). Liveness flows in
-// through addLive/removeLive at the same stream positions the plain
-// scheduler flips them.
+// An arbiter binds to one machine and the tenants hosted on it.
+// Liveness flows in through addLive/removeLive at the same stream
+// positions the scheduler flips them.
 type arbiter struct {
 	m     *sim.Machine
 	specs []*Spec // per hosted tenant, space order

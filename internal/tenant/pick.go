@@ -3,11 +3,9 @@ package tenant
 // wpick is the scheduler's weighted draw: a Fenwick (binary indexed)
 // tree over the runnable tenants' static weights, so drawing the next
 // tenant is O(log n) instead of two O(n) scans — the dominant
-// scheduler cost at 1024 tenants. It is shared by the inline runner
-// and the sharded driver, which must select identical schedules for
-// the same draw sequence. fen is 1-indexed; wcur[i] is the weight
-// currently credited to tenant i (0 when not runnable) and sum their
-// total.
+// scheduler cost at 1024 tenants. fen is 1-indexed; wcur[i] is the
+// weight currently credited to tenant i (0 when not runnable) and sum
+// their total.
 type wpick struct {
 	fen  []uint64
 	wcur []uint64

@@ -8,14 +8,16 @@
 // floors and weighted promotion shares (DESIGN.md §10).
 //
 // The scheduler is an inline run loop: tenants whose workloads
-// implement workload.Streamer are resumable steppers — the scheduler
-// holds their suspended drive state (workload.Stream) and pulls
-// batches of accesses from it for exactly one slice at a time, with no
-// goroutine, channel operation or allocation on the per-slice path.
-// Workloads without a stepper form (mid-stream allocation churn,
-// phased initialisation) keep the historical goroutine-baton fallback:
-// their Run executes on a dedicated goroutine that an AccessObserver
-// parks at slice boundaries, installed only while such a tenant runs.
+// implement workload.Streamer are resumable steppers — Stream(env)
+// performs the reservations and returns the suspended drive state
+// (workload.Stream), and the scheduler pulls one slice of accesses at
+// a time from its Fill (or Step), with no goroutine, channel operation
+// or allocation on the per-slice path. Every other workload keeps the
+// goroutine-baton fallback: its Run executes on a dedicated goroutine
+// that an AccessObserver parks at slice boundaries, installed only
+// while such a tenant runs. Today only bench.TenantLoad implements
+// Streamer, so the Table 2 models (workload.W), workload.Synthetic and
+// scenario tenants all run on the baton.
 //
 // Determinism is by construction either way: exactly one goroutine —
 // the scheduler or the currently scheduled fallback tenant — is
@@ -403,7 +405,7 @@ func newRun(r *Runner, m *sim.Machine, accesses uint64) *run {
 }
 
 // sortChurn orders a churn plan by (threshold, kind, tenant) — the
-// intra-threshold application order both schedulers share.
+// scheduler's intra-threshold application order.
 func sortChurn(events []churnEvent) {
 	sort.SliceStable(events, func(a, b int) bool {
 		ea, eb := events[a], events[b]

@@ -154,10 +154,7 @@ func Drive(m *sim.Machine, target uint64, step func() (vpn uint64, write bool)) 
 // Env is the execution environment a streaming workload initialises
 // against when an external scheduler — rather than the workload's own
 // Run loop — will pull its accesses: a reservation primitive for the
-// tenant's address space and the machine seed. It deliberately carries
-// no machine handle, so the same Stream can be driven against a plain
-// machine or replayed through a sharded dispatch pipeline whose
-// reservations are predicted driver-side.
+// tenant's address space and the machine seed.
 type Env struct {
 	// Reserve carves a region out of the workload's address space,
 	// exactly like sim.Machine.Reserve would during Run.
