@@ -58,6 +58,7 @@ fuzz:
 	$(GO) test -fuzz='^FuzzTopologySpec$$' -fuzztime=$(FUZZTIME) ./internal/tier
 	$(GO) test -fuzz='^FuzzScenarioSpec$$' -fuzztime=$(FUZZTIME) ./internal/scenario
 	$(GO) test -fuzz='^FuzzScenarioConformance$$' -fuzztime=$(FUZZTIME) ./internal/scenario
+	$(GO) test -fuzz='^FuzzStdZipfMatchesRand$$' -fuzztime=$(FUZZTIME) ./internal/dist
 
 # Continuous benchmarking: run the hot-loop benchmark suite, write a
 # schema-stable BENCH_<n>.json snapshot, and compare against the

@@ -7,6 +7,7 @@ import (
 
 	memtis "memtis/internal/core"
 	"memtis/internal/damon"
+	"memtis/internal/dist"
 	"memtis/internal/pebs"
 	"memtis/internal/policy"
 	"memtis/internal/sim"
@@ -111,7 +112,7 @@ func Fig1(cfg Config) ([]Fig1Result, Table) {
 		for i := range scattered {
 			scattered[i] = rng.Uint64() % pages
 		}
-		zsc := rand.NewZipf(rng, 1.2, 1, uint64(len(scattered)-1))
+		zsc := dist.NewStdZipf(rng, 1.2, 1, uint64(len(scattered)-1))
 		for i := uint64(0); m.Accesses() < cfg.Accesses; i++ {
 			phase := (m.Accesses() * phases) / cfg.Accesses
 			base := (phase * (pages - band)) / (phases - 1)

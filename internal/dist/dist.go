@@ -20,7 +20,8 @@ type Source interface {
 // 1/(k+1)^s, for any s > 0, using Gray's rejection-inversion method
 // (the same approach as YCSB's ZipfianGenerator): O(1) per sample with
 // no per-element tables, so footprints of millions of pages cost
-// nothing to set up.
+// nothing to set up. A fixed 8 KB table over the uniform draw answers
+// the head ranks in one load (see table.go); it changes no draw.
 type Zipf struct {
 	rng              *rand.Rand
 	n                uint64
@@ -29,6 +30,7 @@ type Zipf struct {
 	hIntegralX1      float64
 	hIntegralNumElem float64
 	sDiv             float64
+	tab              table
 }
 
 // NewZipf builds a bounded Zipf sampler over [0, n).
@@ -43,6 +45,13 @@ func NewZipf(rng *rand.Rand, s float64, n uint64) *Zipf {
 	z.hIntegralX1 = z.hIntegral(1.5) - 1
 	z.hIntegralNumElem = z.hIntegral(float64(n) + 0.5)
 	z.sDiv = 2 - z.hIntegralInv(z.hIntegral(2.5)-z.h(2))
+	// Ranks 1 and n also absorb clamped x; the table holds only the
+	// unclamped part of their intervals.
+	inversion{
+		a: z.hIntegralNumElem, b: z.hIntegralX1 - z.hIntegralNumElem, h: z.hIntegral, sd: z.sDiv,
+		accept: func(k float64) float64 { return z.hIntegral(k+0.5) - z.h(k) },
+		kMin:   1, kMax: float64(n),
+	}.build(&z.tab)
 	return z
 }
 
@@ -86,8 +95,17 @@ func helper2(x float64) float64 {
 
 // Next implements Source.
 func (z *Zipf) Next() uint64 {
+	r := z.rng.Float64()
+	if k := z.tab.lookup(r); k != noEntry {
+		return uint64(k)
+	}
+	return z.exact(r)
+}
+
+// exact is the rejection-inversion loop with its first draw r supplied.
+func (z *Zipf) exact(r float64) uint64 {
 	for {
-		u := z.hIntegralNumElem + z.rng.Float64()*(z.hIntegralX1-z.hIntegralNumElem)
+		u := z.hIntegralNumElem + r*(z.hIntegralX1-z.hIntegralNumElem)
 		x := z.hIntegralInv(u)
 		k := math.Floor(x + 0.5)
 		if k < 1 {
@@ -99,6 +117,7 @@ func (z *Zipf) Next() uint64 {
 		if k-x <= z.sDiv || u >= z.hIntegral(k+0.5)-z.h(k) {
 			return uint64(k) - 1
 		}
+		r = z.rng.Float64()
 	}
 }
 

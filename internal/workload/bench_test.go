@@ -1,0 +1,42 @@
+package workload
+
+import (
+	"testing"
+
+	"memtis/internal/tier"
+)
+
+// stepSink keeps the drawn VPNs live.
+var stepSink uint64
+
+// drawsPerMachine is how many draws one initialised machine serves, the
+// order of a Figure 5 cell's budget. 603.bwaves' stepper reserves and
+// frees a buffer every 1024 draws, and the address space's cost per
+// cycle grows with the cycles run, so without a bound its ns/op would
+// depend on b.N.
+const drawsPerMachine = 1 << 18
+
+// BenchmarkStepper measures each model's steady-phase generator alone,
+// one drawn access per iteration. Machines are built and the model
+// initialised with the timer stopped, and the drawn accesses are never
+// issued, so the figure is the generator's share of a simulated access
+// (603.bwaves' draws include its Reserve/FreeRegion churn).
+func BenchmarkStepper(b *testing.B) {
+	for _, w := range All() {
+		b.Run(w.Name(), func(b *testing.B) {
+			var step stepper
+			for i := 0; i < b.N; i++ {
+				if i%drawsPerMachine == 0 {
+					b.StopTimer()
+					// Room for every initialisation phase: the
+					// first-touch sweeps plus graph500's
+					// 12%-of-budget generation pass.
+					m := machineFor(w.Spec(), 1)
+					step = w.build(w.newCtx(m, 4*w.Spec().RSSBytes()/tier.BasePageSize))
+					b.StartTimer()
+				}
+				stepSink, _ = step()
+			}
+		})
+	}
+}

@@ -3,6 +3,7 @@ package workload
 import (
 	"math/rand"
 
+	"memtis/internal/dist"
 	"memtis/internal/tier"
 	"memtis/internal/vm"
 )
@@ -16,7 +17,7 @@ import (
 type blockZipf struct {
 	r      region
 	bperm  perm
-	z      zipf
+	z      *dist.StdZipf
 	rng    *rand.Rand
 	blocks uint64
 }
@@ -30,7 +31,7 @@ func newBlockZipf(rng *rand.Rand, s float64, r region) blockZipf {
 }
 
 func (b blockZipf) next() uint64 {
-	blk := b.bperm.at(b.z.next())
+	blk := b.bperm.zipfAt(b.z.Uint64())
 	off := b.rng.Uint64() % tier.SubPages
 	return b.r.vpnAt(blk*tier.SubPages + off)
 }
@@ -60,7 +61,7 @@ func buildGraph500(c *ctx) stepper {
 	return func() (uint64, bool) {
 		switch r := c.rng.Uint32() % 1000; {
 		case r < 550:
-			return vertices.vpnAt(zv.next()), c.pick(1, 3)
+			return vertices.vpnAt(zv.Uint64()), c.pick(1, 3)
 		case r < 998:
 			return ze.next(), false
 		default:
@@ -92,7 +93,7 @@ func buildPageRank(c *ctx) stepper {
 			cursor++
 			return edges.vpnAt(cursor), false
 		case r < 998:
-			return ranks.vpnAt(zr.next()), c.pick(1, 2)
+			return ranks.vpnAt(zr.Uint64()), c.pick(1, 2)
 		default:
 			return smallStep()
 		}
@@ -144,7 +145,7 @@ func buildLiblinear(c *ctx) stepper {
 		case r < 660:
 			return zf.next(), false
 		case r < 998:
-			return model.vpnAt(zm.next()), c.pick(3, 10)
+			return model.vpnAt(zm.Uint64()), c.pick(3, 10)
 		default:
 			return smallStep()
 		}
@@ -166,7 +167,7 @@ func buildSilo(c *ctx) stepper {
 	smallStep := smallStepper(c, small)
 	return func() (uint64, bool) {
 		if c.pick(96, 100) {
-			return heap.r.BaseVPN + pm.at(z.next()), false
+			return heap.r.BaseVPN + pm.zipfAt(z.Uint64()), false
 		}
 		return smallStep()
 	}
@@ -204,7 +205,7 @@ func buildBtree(c *ctx) stepper {
 			vpn, _ := innerStep()
 			return vpn, false
 		default:
-			leaf := touched[pm.at(z.next())%uint64(len(touched))]
+			leaf := touched[pm.at(z.Uint64())%uint64(len(touched))]
 			return heap.r.BaseVPN + uint64(leaf), c.pick(1, 20)
 		}
 	}

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"memtis/internal/dist"
 	"memtis/internal/sim"
 	"memtis/internal/tier"
 	"memtis/internal/vm"
@@ -101,13 +102,7 @@ const batchSize = 256
 // with the loop bookkeeping amortised; stateful steppers (allocation
 // churn) keep the one-at-a-time path.
 func (w *W) Run(m *sim.Machine, accesses uint64) {
-	c := &ctx{
-		m:      m,
-		rng:    rand.New(rand.NewSource(m.Cfg.Seed ^ int64(len(w.spec.Name)<<8))),
-		budget: accesses,
-		spec:   w.spec,
-	}
-	step := w.build(c)
+	step := w.build(w.newCtx(m, accesses))
 	if w.stateful {
 		for m.Accesses() < accesses {
 			vpn, write := step()
@@ -260,6 +255,17 @@ func All() []*W {
 	return ws
 }
 
+// newCtx is the build state Run hands to w.build: the machine, the
+// access budget and the RNG the model's stream is seeded from.
+func (w *W) newCtx(m *sim.Machine, budget uint64) *ctx {
+	return &ctx{
+		m:      m,
+		rng:    rand.New(rand.NewSource(m.Cfg.Seed ^ int64(len(w.spec.Name)<<8))),
+		budget: budget,
+		spec:   w.spec,
+	}
+}
+
 // ctx carries build/run state shared by the generators.
 type ctx struct {
 	m      *sim.Machine
@@ -334,19 +340,14 @@ func (c *ctx) touchSmall(rs []region) {
 	}
 }
 
-// zipf draws skewed indexes in [0, n) with rand.Zipf (s > 1).
-type zipf struct {
-	z *rand.Zipf
-}
-
-func newZipf(rng *rand.Rand, s float64, n uint64) zipf {
+// newZipf draws skewed indexes in [0, n) exactly as rand.NewZipf(rng,
+// s, 1, n-1) would (s > 1).
+func newZipf(rng *rand.Rand, s float64, n uint64) *dist.StdZipf {
 	if n < 1 {
 		n = 1
 	}
-	return zipf{z: rand.NewZipf(rng, s, 1, n-1)}
+	return dist.NewStdZipf(rng, s, 1, n-1)
 }
-
-func (z zipf) next() uint64 { return z.z.Uint64() }
 
 // perm is a page-index permutation used to scatter hot indexes across
 // the address range (hash-distributed heaps).
@@ -364,6 +365,18 @@ func newPerm(rng *rand.Rand, n uint64) perm {
 }
 
 func (pm perm) at(i uint64) uint64 { return uint64(pm.p[i%uint64(len(pm.p))]) }
+
+// zipfAt is at for a draw of newZipf over len(p) entries, without the
+// divide. rand.Zipf returns at most imax+1 = len(p), and that only for
+// a u within rounding error of its top boundary (silo's heap size hits
+// it at r = 0), so one conditional subtraction wraps exactly as at's
+// modulo does.
+func (pm perm) zipfAt(i uint64) uint64 {
+	if i >= uint64(len(pm.p)) {
+		i -= uint64(len(pm.p))
+	}
+	return uint64(pm.p[i])
+}
 
 // pick returns true with probability num/den.
 func (c *ctx) pick(num, den uint32) bool { return c.rng.Uint32()%den < num }

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math/rand"
 	"testing"
 
 	"memtis/internal/sim"
@@ -17,6 +18,18 @@ func machineFor(spec Spec, seed int64) *sim.Machine {
 		THP:       true,
 		Seed:      seed,
 	}, nil)
+}
+
+// TestPermZipfAtMatchesAt pins zipfAt to at over every value a Zipf
+// draw over len(p) entries can take, including the len(p) that
+// rand.Zipf returns for u at its top boundary.
+func TestPermZipfAtMatchesAt(t *testing.T) {
+	pm := newPerm(rand.New(rand.NewSource(1)), 37)
+	for i := uint64(0); i <= 37; i++ {
+		if got, want := pm.zipfAt(i), pm.at(i); got != want {
+			t.Fatalf("zipfAt(%d) = %d, at = %d", i, got, want)
+		}
+	}
 }
 
 func TestSpecsComplete(t *testing.T) {
