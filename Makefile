@@ -36,11 +36,10 @@ docs:
 
 # Race smoke: the parallel-runner determinism regression, the
 # per-machine shared-state audit, tenant cells on parallel workers
-# (inline scheduler and baton fallback, DESIGN.md §13), the codec/dist
-# suites, and the multi-tenant scheduler (whole package: the inline
-# scheduler runs on one goroutine and the baton fallback claims
-# exactly one runnable goroutine, both of which -race checks), all
-# with CI-sized budgets.
+# (scenario tenants and TenantLoad streams, DESIGN.md §13), the
+# codec/dist suites, and the multi-tenant scheduler (whole package: it
+# runs every tenant's stream on the calling goroutine, which -race
+# checks), all with CI-sized budgets.
 race:
 	$(GO) test -race -run 'TestRunMatrixDeterminism|TestRunnerCancellation|TestRunnerProgress|TestEventTraceGolden|TestMachinesAreIndependent|TestDistinctPoliciesShareNothing|TestScenarioMatrixDeterminism|TestTenantTraceDeterminism' ./internal/bench ./internal/sim
 	$(GO) test -race -run 'TestSharedRunnerParallelDeterminism' ./internal/scenario

@@ -18,6 +18,7 @@ import (
 	"memtis/internal/sim"
 	"memtis/internal/tenant"
 	"memtis/internal/tier"
+	"memtis/internal/workload"
 )
 
 // tenantMachine sizes a machine for a tenant mix like MachineFor: fast
@@ -241,20 +242,25 @@ type zipfHammer struct{}
 
 func (zipfHammer) Name() string { return "hammer" }
 
-func (zipfHammer) Run(m *sim.Machine, accesses uint64) {
+func (h zipfHammer) Run(m *sim.Machine, accesses uint64) { workload.Run(m, h, accesses) }
+
+func (zipfHammer) Stream(m *sim.Machine, budget uint64) workload.Stream {
 	r := m.Reserve(48 << 20)
 	base := splitmix64(uint64(m.Cfg.Seed) ^ fnv1a("hammer"))
 	var ctr uint64
-	for m.Accesses() < accesses {
-		ctr++
-		x := splitmix64(base + ctr)
-		// Geometric-ish skew: most probes land in the first pages.
-		span := r.Pages >> (x % 10)
-		if span == 0 {
-			span = 1
+	return workload.FillFunc(func(dst []sim.Op) int {
+		for i := range dst {
+			ctr++
+			x := splitmix64(base + ctr)
+			// Geometric-ish skew: most probes land in the first pages.
+			span := r.Pages >> (x % 10)
+			if span == 0 {
+				span = 1
+			}
+			dst[i] = sim.Op{VPN: r.BaseVPN + (x>>16)%span, Write: x&3 == 0}
 		}
-		m.Access(r.BaseVPN+(x>>16)%span, x&3 == 0)
-	}
+		return len(dst)
+	})
 }
 
 // TestTenantChurnProperty is the churn accounting property test: over
@@ -317,11 +323,11 @@ func TestTenantChurnProperty(t *testing.T) {
 // multi-tenant scheduler: the same seed must produce byte-identical
 // per-tenant event traces (spawns, switches, exits interleaved with
 // migrations) whether cells run sequentially or on eight workers. Two
-// inputs cover both execution modes: scenario tenants run on the
-// goroutine baton, and a TenantSweep cell of TenantLoad streamers runs
-// on the inline scheduler. Under -race this proves the baton never
-// lets two tenant goroutines touch the machine concurrently and that
-// inline cells on different workers share no scheduler state.
+// inputs cover both kinds of tenant stream: scenario tenants, whose
+// phase programs reserve and touch regions inline in their streams,
+// and a TenantSweep cell of TenantLoad streams. Under -race this
+// proves that cells on different workers share no scheduler or stream
+// state.
 func TestTenantTraceDeterminism(t *testing.T) {
 	mk := func(name string) []scenario.Phase {
 		return []scenario.Phase{
@@ -363,7 +369,7 @@ func TestTenantTraceDeterminism(t *testing.T) {
 		run  func(*Runner) map[string][]byte
 		cell string
 	}{
-		{"baton", runInto, "multideterminism_1to8_memtis.events.jsonl"},
+		{"scenario-tenant", runInto, "multideterminism_1to8_memtis.events.jsonl"},
 		{"inline", sweepInto, "tenants_" + fileSafe(tenantCoord(Ratio1to8, pt)) + "_memtis.events.jsonl"},
 	} {
 		seq := in.run(Sequential())

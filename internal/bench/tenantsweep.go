@@ -21,10 +21,9 @@ import (
 // TenantLoad is the sweep's per-tenant synthetic workload: an 80/20
 // hot/cold mix over the tenant's own region, driven by a SplitMix64
 // counter stream seeded from the machine seed and the tenant name.
-// It is stateless across runs (all run state is local to Run), so one
-// value is safely shared by parallel cells, and under the tenant
-// scheduler its per-space access budget makes every tenant run until
-// the global budget is spent.
+// All run state lives in the stream, so one value is safely shared by
+// parallel cells, and under the tenant scheduler its per-space access
+// budget makes every tenant run until the global budget is spent.
 type TenantLoad struct {
 	name  string
 	bytes uint64
@@ -45,58 +44,37 @@ func (t *TenantLoad) Name() string { return t.name }
 // RSSBytes reports the region the workload reserves on first schedule.
 func (t *TenantLoad) RSSBytes() uint64 { return t.bytes }
 
-// Run drives the 90/10 skewed access loop over the tenant's region.
-func (t *TenantLoad) Run(m *sim.Machine, accesses uint64) {
-	s := t.Stream(workload.Env{Reserve: m.Reserve, Seed: m.Cfg.Seed})
-	for m.Accesses() < accesses {
-		m.Access(s.Step())
-	}
-}
+// Run drives the stream alone.
+func (t *TenantLoad) Run(m *sim.Machine, accesses uint64) { workload.Run(m, t, accesses) }
 
-// Stream implements workload.Streamer: the reservation and the exact
-// SplitMix64 access stream of Run in resumable stepper form, so the
-// tenant scheduler drives the load inline with no goroutine parked
-// per tenant.
-func (t *TenantLoad) Stream(env workload.Env) workload.Stream {
-	r := env.Reserve(t.bytes)
+// Stream implements workload.Streamer: it reserves the region, then
+// draws the skewed accesses over it. The span is picked by index, so
+// the 20% roam case is a predicate, not a mispredicted branch.
+func (t *TenantLoad) Stream(m *sim.Machine, budget uint64) workload.Stream {
+	r := m.Reserve(t.bytes)
 	hot := r.Pages / 8
 	if hot == 0 {
 		hot = 1
 	}
-	base := splitmix64(uint64(env.Seed) ^ fnv1a(t.name))
+	base := splitmix64(uint64(m.Cfg.Seed) ^ fnv1a(t.name))
 	// Reciprocal remainders (exact, see internal/fastmod): the two span
-	// reductions are the only hardware divides left on the stepper path.
-	hotM, fullM := fastmod.New(hot), fastmod.New(r.Pages)
-	spans := [2]fastmod.M{hotM, fullM}
+	// reductions are the only hardware divides left on the stream path.
+	spans := [2]fastmod.M{fastmod.New(hot), fastmod.New(r.Pages)}
 	var ctr uint64
-	return workload.Stream{
-		Step: func() (uint64, bool) {
-			ctr++
-			x := splitmix64(base + ctr)
-			span := hotM
+	return workload.FillFunc(func(dst []sim.Op) int {
+		c := ctr
+		for i := range dst {
+			c++
+			x := splitmix64(base + c)
+			k := 0
 			if x%5 == 4 { // 20% of probes roam the full region
-				span = fullM
+				k = 1
 			}
-			return r.BaseVPN + span.Mod(x>>8), x&7 == 0
-		},
-		// Fill is Step's arithmetic unrolled over a batch (one closure
-		// call and counter write-back per slice batch, not per access),
-		// with the span picked by index so the 20% roam case is a
-		// predicate, not a mispredicted branch.
-		Fill: func(dst []sim.Op) {
-			c := ctr
-			for i := range dst {
-				c++
-				x := splitmix64(base + c)
-				k := 0
-				if x%5 == 4 {
-					k = 1
-				}
-				dst[i].VPN, dst[i].Write = r.BaseVPN+spans[k].Mod(x>>8), x&7 == 0
-			}
-			ctr = c
-		},
-	}
+			dst[i].VPN, dst[i].Write = r.BaseVPN+spans[k].Mod(x>>8), x&7 == 0
+		}
+		ctr = c
+		return len(dst)
+	})
 }
 
 // TenantPoint is one sweep coordinate: how many tenants contend, how

@@ -265,7 +265,11 @@ func (m *Monitor) Regions() int { return len(m.regions) }
 // true access volume of the estimator's top-decile pages divided by the
 // volume of the ideal top decile. Ranking ties among statistically
 // equal pages do not hurt the score; stale or spatially blurred
-// estimates do.
+// estimates do. Pages the estimate ties across the top-decile boundary
+// are credited with their mean true volume per slot — the expectation
+// over every order of the tie — so the score never depends on map
+// order, and an estimate that cannot tell pages apart earns nothing
+// from their page numbers.
 func hotOverlap(est map[uint64]float64, truth map[uint64]uint64) float64 {
 	if len(truth) == 0 {
 		return 0
@@ -279,8 +283,18 @@ func hotOverlap(est map[uint64]float64, truth map[uint64]uint64) float64 {
 		tr = append(tr, pv{p, float64(c)})
 		es = append(es, pv{p, est[p]})
 	}
-	sort.Slice(tr, func(i, j int) bool { return tr[i].v > tr[j].v })
-	sort.Slice(es, func(i, j int) bool { return es[i].v > es[j].v })
+	// Hottest first; equal values by page number, so the order (and
+	// with it every float sum below) is the same for any map order.
+	byHeat := func(s []pv) func(i, j int) bool {
+		return func(i, j int) bool {
+			if s[i].v != s[j].v {
+				return s[i].v > s[j].v
+			}
+			return s[i].p < s[j].p
+		}
+	}
+	sort.Slice(tr, byHeat(tr))
+	sort.Slice(es, byHeat(es))
 	k := len(tr) / 10
 	if k < 1 {
 		k = 1
@@ -288,7 +302,22 @@ func hotOverlap(est map[uint64]float64, truth map[uint64]uint64) float64 {
 	var idealVol, capturedVol float64
 	for i := 0; i < k; i++ {
 		idealVol += tr[i].v
-		capturedVol += float64(truth[es[i].p])
+	}
+	for i := 0; i < k; {
+		// es[i:j] is one group of equal estimates.
+		j := i + 1
+		for j < len(es) && es[j].v == es[i].v {
+			j++
+		}
+		var vol float64
+		for _, e := range es[i:j] {
+			vol += float64(truth[e.p])
+		}
+		if j > k {
+			vol = vol * float64(k-i) / float64(j-i)
+		}
+		capturedVol += vol
+		i = j
 	}
 	if idealVol == 0 {
 		return 0

@@ -141,3 +141,34 @@ func TestAccuracyEmptyInputs(t *testing.T) {
 		t.Fatal("empty truth should score 0")
 	}
 }
+
+// TestHotOverlapIgnoresMapOrder pins the tie-break: the same estimate
+// and truth, built in different insertion orders, score identically.
+// Every estimate ties, and half the truth counts tie across the top-k
+// boundary, so without a page-number tie-break the score would follow
+// map iteration order.
+func TestHotOverlapIgnoresMapOrder(t *testing.T) {
+	const pages = 400
+	build := func(order []int) (map[uint64]float64, map[uint64]uint64) {
+		est := map[uint64]float64{}
+		truth := map[uint64]uint64{}
+		for _, i := range order {
+			p := uint64(i)
+			est[p] = 1
+			truth[p] = 1 + p%2
+		}
+		return est, truth
+	}
+	fwd := make([]int, pages)
+	for i := range fwd {
+		fwd[i] = i
+	}
+	want := hotOverlap(build(fwd))
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 20; trial++ {
+		order := rng.Perm(pages)
+		if got := hotOverlap(build(order)); got != want {
+			t.Fatalf("trial %d: score %v, want %v (insertion order changed the score)", trial, got, want)
+		}
+	}
+}

@@ -23,25 +23,34 @@ type Options struct {
 
 // Runner is a compiled scenario: a sim.Workload whose Run executes the
 // phases in order. A Runner is immutable after Compile — all run state
-// lives on the Run stack — so one Runner may drive many machines, and
-// matrix cells running in parallel may share it (the same contract as
-// workload.W; pinned by TestScenarioMatrixDeterminism).
+// lives in the run's stream — so one Runner may drive many machines,
+// and matrix cells running in parallel may share it (the same contract
+// as workload.W; pinned by TestScenarioMatrixDeterminism).
 type Runner struct {
-	spec   Spec
-	fc     tier.FaultConfig
+	spec Spec
+	fc   tier.FaultConfig
+	rss  uint64
+	// Exactly one of prog (the single-tenant phase form) and tn (the
+	// tenant multiplexer of a multi-tenant spec) is set; Run delegates
+	// to it wholesale.
+	prog *program
+	tn   *tenant.Runner
+}
+
+// program is a compiled phase list: the stream a single-tenant
+// scenario, and each tenant of a multi-tenant one, runs. A
+// multi-tenant scenario is never itself a tenant, so only programs
+// stream.
+type program struct {
+	name   string
 	phases []cphase
-	rss    uint64
-	// tn is the tenant multiplexer of a multi-tenant spec (nil for the
-	// single-tenant phase form); Run delegates to it wholesale.
-	tn *tenant.Runner
 }
 
 // cphase is one compiled phase: the spec plus its pre-built access
 // source. All fields are read-only after Compile.
 type cphase struct {
-	p      Phase
-	w      *workload.W
-	replay *trace.Replay
+	p   Phase
+	src workload.Streamer // a Table 2 model or a trace replay
 }
 
 // Compile validates a spec and builds its runner, loading any trace
@@ -54,6 +63,7 @@ func Compile(spec Spec, opt Options) (*Runner, error) {
 	if len(spec.Tenants) > 0 {
 		return compileTenants(r, opt)
 	}
+	r.prog = &program{name: spec.Name}
 	live := map[string]uint64{}
 	var running, peak uint64
 	for i := range spec.Phases {
@@ -79,7 +89,7 @@ func Compile(spec Spec, opt Options) (*Runner, error) {
 			if err != nil {
 				return nil, fmt.Errorf("scenario: phase %d: %w", i, err)
 			}
-			cp.w = w
+			cp.src = w
 			running += w.Spec().RSSBytes()
 		case p.Trace != "":
 			path := p.Trace
@@ -94,13 +104,13 @@ func Compile(spec Spec, opt Options) (*Runner, error) {
 				return nil, fmt.Errorf("scenario: phase %d: trace %s is empty", i, path)
 			}
 			rep := trace.NewReplay(spec.Name+"/"+p.Trace, recs)
-			cp.replay = rep
+			cp.src = rep
 			running += rep.SpanPages() * tier.BasePageSize
 		}
 		if running > peak {
 			peak = running
 		}
-		r.phases = append(r.phases, cp)
+		r.prog.phases = append(r.prog.phases, cp)
 	}
 	if peak > MaxTotalBytes {
 		return nil, fmt.Errorf("scenario: peak resident estimate %d exceeds %d (trace spans included)", peak, MaxTotalBytes)
@@ -136,7 +146,7 @@ func compileTenants(r *Runner, opt Options) (*Runner, error) {
 			Name:       name,
 			Weight:     t.Weight,
 			FloorBytes: t.FloorBytes,
-			Workload:   sub,
+			Workload:   sub.prog,
 			SpawnFrac:  t.SpawnFrac,
 			ExitFrac:   t.ExitFrac,
 			GrowBytes:  t.GrowBytes,
@@ -187,100 +197,106 @@ func (r *Runner) NumTenants() int {
 	return len(r.spec.Tenants)
 }
 
-// Run implements sim.Workload: phases execute in order, each driven
-// until the machine's cumulative access count reaches the phase's share
-// of the budget. Weights split the budget proportionally with integer
-// truncation; the rounding remainder lands on the last source phase, so
-// the run always issues exactly `accesses` accesses. Churn (Free, then
-// Grow with init touches) applies at phase entry; init touches are
-// charged against the whole run's budget, exactly like a workload's
-// allocation sweep.
+// Run implements sim.Workload: a multi-tenant scenario runs under
+// the tenant scheduler, which owns the budget split (each tenant's
+// program sees the global budget as its nominal target; per-space
+// progress runs behind it, so the scheduler's stop at the global budget
+// is what ends tenants). A single-tenant scenario drives its program's
+// stream.
+func (r *Runner) Run(m *sim.Machine, accesses uint64) {
+	if r.tn != nil {
+		r.tn.Run(m, accesses)
+		return
+	}
+	r.prog.Run(m, accesses)
+}
+
+// Name implements sim.Workload.
+func (p *program) Name() string { return p.name }
+
+// Run implements sim.Workload by driving the stream alone; its final
+// zero-length Fill applies the churn of phases after the budget is
+// spent.
+func (p *program) Run(m *sim.Machine, accesses uint64) { workload.Run(m, p, accesses) }
+
+// Stream implements workload.Streamer: phases execute in order, each
+// driven until the space's cumulative access count reaches the phase's
+// share of the budget. Weights split the budget proportionally with
+// integer truncation; the rounding remainder lands on the last source
+// phase, so the run always issues exactly `budget` accesses. Churn
+// (Free, then Grow with init touches) applies at phase entry; init
+// touches are charged against the whole run's budget, exactly like a
+// workload's allocation sweep.
 //
 // Determinism: every random stream is derived from the machine seed,
 // the scenario name and the phase index (SplitMix64 over FNV-1a), so a
 // fixed (spec, machine config, budget) triple always produces a
 // byte-identical access stream and event trace.
-func (r *Runner) Run(m *sim.Machine, accesses uint64) {
-	if r.tn != nil {
-		// Multi-tenant: the tenant scheduler owns the budget split;
-		// each tenant's sub-runner sees the global budget as its
-		// nominal target (per-space progress runs behind it, so the
-		// scheduler's kill at the global budget is what ends tenants).
-		r.tn.Run(m, accesses)
-		return
-	}
+func (p *program) Stream(m *sim.Machine, budget uint64) workload.Stream {
 	var total float64
-	for i := range r.phases {
-		total += r.phases[i].p.effWeight()
+	for i := range p.phases {
+		total += p.phases[i].p.effWeight()
 	}
-	budgets := make([]uint64, len(r.phases))
+	budgets := make([]uint64, len(p.phases))
 	var used uint64
 	lastSrc := -1
-	for i := range r.phases {
-		if r.phases[i].p.isSource() {
+	for i := range p.phases {
+		if p.phases[i].p.isSource() {
 			lastSrc = i
 		}
-		b := uint64(float64(accesses) * r.phases[i].p.effWeight() / total)
+		b := uint64(float64(budget) * p.phases[i].p.effWeight() / total)
 		budgets[i] = b
 		used += b
 	}
-	if lastSrc >= 0 && accesses > used {
-		budgets[lastSrc] += accesses - used
+	if lastSrc >= 0 && budget > used {
+		budgets[lastSrc] += budget - used
 	}
 	regions := map[string]vm.Region{}
+	var segs []workload.Seg
 	var target uint64
-	for i := range r.phases {
-		cp := &r.phases[i]
+	for i := range p.phases {
+		cp := &p.phases[i]
 		target += budgets[i]
-		for _, name := range cp.p.Free {
-			if reg, ok := regions[name]; ok {
-				m.FreeRegion(reg)
-				delete(regions, name)
+		t := target
+		segs = append(segs, func(uint64) (uint64, workload.Stream) {
+			for _, name := range cp.p.Free {
+				if reg, ok := regions[name]; ok {
+					m.FreeRegion(reg)
+					delete(regions, name)
+				}
 			}
-		}
+			return 0, nil
+		})
 		for _, g := range cp.p.Grow {
-			reg := m.Reserve(g.Bytes)
-			regions[g.Name] = reg
-			if !g.SkipInit {
-				touchRegion(m, reg, accesses)
-			}
+			segs = append(segs, func(done uint64) (uint64, workload.Stream) {
+				reg := m.Reserve(g.Bytes)
+				regions[g.Name] = reg
+				if g.SkipInit {
+					return 0, nil
+				}
+				return done + reg.Pages, workload.Sweep(reg.BaseVPN, reg.Pages)
+			})
 		}
 		switch {
-		case cp.w != nil:
-			cp.w.Run(m, target)
-		case cp.replay != nil:
-			cp.replay.Run(m, target)
+		case cp.src != nil:
+			segs = append(segs, func(uint64) (uint64, workload.Stream) { return t, cp.src.Stream(m, t) })
 		case len(cp.p.Mix) > 0:
-			r.runMix(m, i, cp.p.Mix, regions, target)
+			segs = append(segs, func(uint64) (uint64, workload.Stream) { return t, p.mix(m, i, regions) })
 		}
 	}
+	return workload.NewSeq(m, budget, segs)
 }
 
-// touchRegion first-touch writes every page of a fresh region in
-// sequence, bounded by the run's total access budget.
-func touchRegion(m *sim.Machine, reg vm.Region, budget uint64) {
-	until := m.Accesses() + reg.Pages
-	if until > budget {
-		until = budget
-	}
-	next := reg.BaseVPN
-	workload.Drive(m, until, func() (uint64, bool) {
-		v := next
-		next++
-		return v, true
-	})
-}
-
-// runMix drives one mix phase until the machine reaches target
-// cumulative accesses.
-func (r *Runner) runMix(m *sim.Machine, phase int, mix []MixEntry, regions map[string]vm.Region, target uint64) {
-	seed := int64(splitmix64(uint64(m.Cfg.Seed) ^ splitmix64(fnv1a(r.spec.Name)+uint64(phase)+1)))
+// mix is one mix phase's stream over the regions live at its start.
+func (p *program) mix(m *sim.Machine, phase int, regions map[string]vm.Region) workload.Stream {
+	seed := int64(splitmix64(uint64(m.Cfg.Seed) ^ splitmix64(fnv1a(p.name)+uint64(phase)+1)))
 	rng := rand.New(rand.NewSource(seed))
 	type arm struct {
 		base  uint64
 		src   dist.Source
 		write int
 	}
+	mix := p.phases[phase].p.Mix
 	arms := make([]arm, 0, len(mix))
 	weights := make([]int, 0, len(mix))
 	total := 0
@@ -306,7 +322,7 @@ func (r *Runner) runMix(m *sim.Machine, phase int, mix []MixEntry, regions map[s
 		total += w
 		weights = append(weights, total)
 	}
-	workload.Drive(m, target, func() (uint64, bool) {
+	return workload.Steps(func() (uint64, bool) {
 		pick := rng.Intn(total)
 		idx := 0
 		for weights[idx] <= pick {
@@ -317,4 +333,7 @@ func (r *Runner) runMix(m *sim.Machine, phase int, mix []MixEntry, regions map[s
 	})
 }
 
-var _ sim.Workload = (*Runner)(nil)
+var (
+	_ sim.Workload      = (*Runner)(nil)
+	_ workload.Streamer = (*program)(nil)
+)

@@ -293,9 +293,9 @@ type Machine struct {
 	multi       bool
 
 	// AccessObserver, when set, sees every access (used by the DAMON
-	// and trace-analysis experiments, and by the tenant scheduler to
-	// preempt the running tenant at slice boundaries). The vpn carries
-	// the current space tag, like the vpn fed to the TLB and policy.
+	// and trace-capture experiments; it takes the batch fast path
+	// away). The vpn carries the current space tag, like the vpn fed
+	// to the TLB and policy.
 	AccessObserver func(vpn uint64, write bool, now uint64)
 }
 
@@ -787,11 +787,11 @@ type Op struct {
 
 // AccessBatch issues the ops in order, exactly as the equivalent
 // sequence of Access calls would — same costs, same tick and sample
-// delivery points, byte-identical event traces. Workloads use it to
-// amortise per-access loop bookkeeping (budget checks, stepper
-// indirection) across a buffer of pre-generated accesses; ops whose
-// generation depends on machine state mutated mid-batch (frees,
-// reservations) must keep using Access.
+// delivery points, byte-identical event traces. workload.Drive issues
+// every workload's stream through it, amortising per-access loop
+// bookkeeping (budget checks, stream indirection) across a buffer of
+// pre-generated accesses; a stream that frees or reserves ends its
+// batch first, so no mutation lands mid-batch.
 //
 // The inner loop is Access's FastSampled bypass unrolled across the
 // batch: one op costs a TouchFast, a FeedFast, a TLB probe and the

@@ -7,26 +7,21 @@
 // QoS arbiter below the policy layer enforces per-tenant fast-tier
 // floors and weighted promotion shares (DESIGN.md §10).
 //
-// The scheduler is an inline run loop: tenants whose workloads
-// implement workload.Streamer are resumable steppers — Stream(env)
-// performs the reservations and returns the suspended drive state
-// (workload.Stream), and the scheduler pulls one slice of accesses at
-// a time from its Fill (or Step), with no goroutine, channel operation
-// or allocation on the per-slice path. Every other workload keeps the
-// goroutine-baton fallback: its Run executes on a dedicated goroutine
-// that an AccessObserver parks at slice boundaries, installed only
-// while such a tenant runs. Today only bench.TenantLoad implements
-// Streamer, so the Table 2 models (workload.W), workload.Synthetic and
-// scenario tenants all run on the baton.
+// The scheduler is an inline run loop over resumable op streams: every
+// tenant's workload is a workload.Streamer, whose Stream(m, budget)
+// performs the setup on the tenant's first slice and returns the
+// suspended drive state, and each slice is one workload.Drive call
+// bounded by the slice end — the same issue loop every workload's own Run
+// uses. Reservations, frees and phase transitions are part of the stream
+// (DESIGN.md §13), so a slice is a plain loop on the scheduler's own
+// stack, with no allocation.
 //
-// Determinism is by construction either way: exactly one goroutine —
-// the scheduler or the currently scheduled fallback tenant — is
-// runnable at any instant, so the interleaving is a pure function of
-// the machine seed and the config. The same seed produces
+// Determinism is by construction: the interleaving is a pure function
+// of the machine seed and the config, so the same seed produces
 // byte-identical event traces sequential or under a parallel matrix,
-// including under the race detector; the inline scheduler reproduces
-// the baton scheduler's traces bit for bit (the tenant_equiv.json
-// golden in internal/bench pins this).
+// including under the race detector. The inline scheduler reproduces
+// the traces of the goroutine scheduler it replaced bit for bit (the
+// tenant_equiv.json golden in internal/bench pins this).
 package tenant
 
 import (
@@ -58,10 +53,10 @@ type Spec struct {
 	// are clamped proportionally if their sum exceeds what the fast
 	// tier can honour.
 	FloorBytes uint64
-	// Workload drives the tenant's address space. Any sim.Workload
-	// works, including scenario runners; instances may be shared
-	// across tenants (workloads keep per-Run state only).
-	Workload sim.Workload
+	// Workload drives the tenant's address space: Table 2 models,
+	// synthetic and scenario workloads, trace replays. Instances may
+	// be shared across tenants (all run state lives in the stream).
+	Workload workload.Streamer
 	// Admit, when set, is this tenant's admission hook, layered below
 	// the policy's own AdmissionFunc: it is consulted (with
 	// sync=false — the arbiter cannot tell) before floor and share
@@ -242,15 +237,13 @@ func (r *Runner) Name() string { return "tenants" }
 
 // Run implements sim.Workload: it interleaves the tenants' workloads
 // on m until exactly `accesses` accesses have been issued machine-wide
-// (every tenant's workload is given the global budget as its nominal
-// target; the scheduler preempts and finally kills them at slice and
-// budget boundaries, so the total always lands exactly). The machine
-// must be fresh: single-space, no other AccessObserver, not previously
-// run.
+// (every tenant's stream is given the global budget as its nominal
+// target; the scheduler preempts them at slice boundaries and stops at
+// the global budget, so the total always lands exactly). The machine
+// must be fresh: single-space, not previously run.
 func (r *Runner) Run(m *sim.Machine, accesses uint64) {
 	st := newRun(r, m, accesses)
-	defer st.finalize()
-	defer st.killAll()
+	defer st.arb.finalize()
 	for {
 		st.fireChurn()
 		if m.TotalAccesses() >= st.target {
@@ -264,28 +257,13 @@ func (r *Runner) Run(m *sim.Machine, accesses uint64) {
 	}
 }
 
-// killedPanic unwinds a fallback tenant goroutine the scheduler
-// terminates (budget exhausted or exit churn); procMain recovers
-// exactly this type and re-raises anything else.
-type killedPanic struct{}
-
-// proc is one tenant's execution state. Streaming tenants (streamer
-// non-nil) are driven inline: their suspended drive state is the
-// stream field and the channels stay nil. Fallback tenants run their
-// workload on a dedicated goroutine with the resume channel as the
-// scheduling baton, exactly the historical design.
+// proc is one tenant's execution state: its suspended stream once
+// first scheduled.
 type proc struct {
-	id       int
-	spec     *Spec
-	streamer workload.Streamer // nil: goroutine-baton fallback
-	stream   workload.Stream   // suspended drive state once begun
-	begun    bool
-	resume   chan struct{}
-	done     chan struct{}
-	started  bool
-	finished bool
-	killed   bool
-	live     bool
+	id     int
+	spec   *Spec
+	stream workload.Stream
+	live   bool
 }
 
 type churnEvent struct {
@@ -294,12 +272,6 @@ type churnEvent struct {
 	kind   ChurnKind
 }
 
-// tenantBatch is the inline scheduler's issue granularity, matching
-// the workload package's batched drive: large enough to amortise the
-// budget checks and stepper indirection, small enough that the Op
-// buffer stays L1-resident.
-const tenantBatch = 256
-
 // run is the per-Run mutable state: scheduler, churn plan and arbiter.
 type run struct {
 	m      *sim.Machine
@@ -307,19 +279,15 @@ type run struct {
 	target uint64
 	slice  uint64
 
-	procs    []*proc
-	names    []string
-	yield    chan *proc
-	active   *proc
-	sliceEnd uint64
+	procs []*proc
+	names []string
 
 	// pk is the weighted pick state (see wpick): tenants are credited
 	// when runnable, cleared when finished or exited.
 	pk *wpick
 
-	// buf is the inline scheduler's access batch (no allocation on the
-	// slice path).
-	buf [tenantBatch]sim.Op
+	// buf is the slice batch buffer (no allocation on the slice path).
+	buf workload.BatchBuf
 
 	events []churnEvent
 	nextEv int
@@ -347,7 +315,6 @@ func newRun(r *Runner, m *sim.Machine, accesses uint64) *run {
 		slice:  r.cfg.Slice,
 		procs:  make([]*proc, n),
 		names:  make([]string, n),
-		yield:  make(chan *proc),
 		pk:     newWpick(n),
 		grown:  make([]vm.Region, n),
 		rng:    uint64(m.Cfg.Seed) ^ 0x74_65_6e_61_6e_74, // "tenant"
@@ -359,8 +326,7 @@ func newRun(r *Runner, m *sim.Machine, accesses uint64) *run {
 	}
 	st.arb = newArbiter(m, specs, st.names)
 	// Install the veto hook on the root space first: AddSpace copies it
-	// onto every additional space. The access observer is installed
-	// only while a fallback tenant's goroutine runs.
+	// onto every additional space.
 	m.AS.MigrateVeto = st.arb.veto
 	// Tenant i owns space i; tenant 0 keeps the root space, so a
 	// one-tenant run stays on the single-space fast path.
@@ -375,12 +341,6 @@ func newRun(r *Runner, m *sim.Machine, accesses uint64) *run {
 	for i := range r.cfg.Tenants {
 		t := &r.cfg.Tenants[i]
 		p := &proc{id: i, spec: t}
-		if s, ok := t.Workload.(workload.Streamer); ok {
-			p.streamer = s
-		} else {
-			p.resume = make(chan struct{})
-			p.done = make(chan struct{})
-		}
 		st.procs[i] = p
 		if t.SpawnFrac <= 0 {
 			p.live = true
@@ -463,13 +423,12 @@ func (st *run) apply(ev churnEvent) {
 	}
 }
 
-// exit kills the tenant's goroutine (it is parked or unstarted — the
-// scheduler holds the baton) and frees its entire address space.
+// exit finishes the tenant and frees its entire address space.
 func (st *run) exit(p *proc) {
 	if !p.live {
 		return
 	}
-	st.kill(p)
+	st.clearRunnable(p.id)
 	p.live = false
 	st.arb.removeLive(p.id)
 	as := st.m.Space(p.id)
@@ -480,8 +439,8 @@ func (st *run) exit(p *proc) {
 }
 
 // grow reserves the tenant's churn region and write-touches it
-// (scheduler-issued accesses: the observer sees no active proc, so
-// they never park; they do count against the global budget).
+// (scheduler-issued accesses: they count against the global budget,
+// and against the tenant's own space count its stream reads).
 func (st *run) grow(p *proc) {
 	if !p.live || p.spec.GrowBytes == 0 {
 		return
@@ -507,7 +466,7 @@ func (st *run) shrink(p *proc) {
 // live, unfinished tenants; nil when none are runnable. The draw is a
 // Fenwick prefix-sum search — the selected tenant is exactly the one
 // the historical linear cumulative-weight scan would return for the
-// same draw, so the scheduling sequence is unchanged.
+// same draw, so the scheduling sequence stays the same.
 func (st *run) pick() *proc {
 	if st.pk.sum == 0 {
 		return nil
@@ -516,8 +475,10 @@ func (st *run) pick() *proc {
 }
 
 // schedule runs p for one slice, bounded by the next churn threshold
-// and the global budget: inline batch issue for streaming tenants,
-// baton handoff for fallback tenants.
+// and the global budget. The slice is one Drive call, so the accesses
+// issued are exactly those the tenant's stream would issue alone up to
+// the slice end; the stream starts on the tenant's first slice, where
+// its Run would begin.
 func (st *run) schedule(p *proc) {
 	now := st.m.TotalAccesses()
 	end := now + st.slice
@@ -529,141 +490,13 @@ func (st *run) schedule(p *proc) {
 	}
 	st.m.UseSpace(p.id)
 	st.m.Tracer().Emit(obs.EvTenantSwitch, uint64(p.id), false, 0, end-now)
-	if p.streamer != nil {
-		st.runSlice(p, end)
-	} else {
-		st.runBaton(p, end)
+	if p.stream == nil {
+		p.stream = p.spec.Workload.Stream(st.m, st.target)
 	}
-	st.arb.checkFloor(p.id)
-}
-
-// runSlice drives a streaming tenant inline until the machine reaches
-// the slice end or the tenant's own budget is spent. The batch bound
-// is exact — each Access advances both counters by exactly one and
-// nothing else does mid-batch — so the accesses issued are precisely
-// those the observer-parked goroutine would have issued: the baton
-// parks after the access that reaches the boundary, the batch simply
-// stops issuing there.
-func (st *run) runSlice(p *proc, end uint64) {
-	if !p.begun {
-		p.begun = true
-		m := st.m
-		p.stream = p.streamer.Stream(workload.Env{Reserve: m.Reserve, Seed: m.Cfg.Seed})
-	}
-	step, fill := p.stream.Step, p.stream.Fill
-	for {
-		total := st.m.TotalAccesses()
-		if total >= end {
-			return
-		}
-		done := st.m.Accesses()
-		if done >= st.target {
-			// The tenant's own (per-space) budget is spent: its Run
-			// loop would have returned here.
-			p.finished = true
-			st.clearRunnable(p.id)
-			return
-		}
-		n := end - total
-		if r := st.target - done; r < n {
-			n = r
-		}
-		if n > tenantBatch {
-			n = tenantBatch
-		}
-		if fill != nil {
-			fill(st.buf[:n])
-		} else {
-			for i := uint64(0); i < n; i++ {
-				st.buf[i].VPN, st.buf[i].Write = step()
-			}
-		}
-		st.m.AccessBatch(st.buf[:n])
-	}
-}
-
-// runBaton hands the baton to a fallback tenant's goroutine for one
-// slice and takes it back when the tenant parks (observe) or its
-// workload returns. The observer is installed only for the duration:
-// inline slices never pay the per-access callback.
-func (st *run) runBaton(p *proc, end uint64) {
-	st.sliceEnd = end
-	st.active = p
-	st.m.AccessObserver = st.observe
-	if !p.started {
-		p.started = true
-		go st.procMain(p)
-	}
-	p.resume <- struct{}{}
-	select {
-	case <-st.yield:
-	case <-p.done:
-		p.finished = true
+	if workload.Drive(st.m, p.stream, st.target, end, &st.buf) {
+		// The tenant's own budget is spent or its stream exhausted:
+		// its Run would have returned here.
 		st.clearRunnable(p.id)
 	}
-	st.m.AccessObserver = nil
-	st.active = nil
-}
-
-// observe is the machine's AccessObserver while a fallback tenant
-// runs: it preempts the tenant once its slice is used up. It runs on
-// the tenant's goroutine; the yield send blocks until the scheduler
-// takes the baton back, and the resume receive blocks until the
-// tenant is scheduled again.
-func (st *run) observe(vpn uint64, write bool, now uint64) {
-	p := st.active
-	if p == nil || st.m.TotalAccesses() < st.sliceEnd {
-		return
-	}
-	st.yield <- p
-	<-p.resume
-	if p.killed {
-		panic(killedPanic{})
-	}
-}
-
-// procMain is a fallback tenant's goroutine: wait for the first
-// slice, run the workload against the (already switched) machine, and
-// swallow only the scheduler's kill panic.
-func (st *run) procMain(p *proc) {
-	defer close(p.done)
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(killedPanic); !ok {
-				panic(r)
-			}
-		}
-	}()
-	<-p.resume
-	if p.killed {
-		return
-	}
-	p.spec.Workload.Run(st.m, st.target)
-}
-
-// kill finishes p, terminating its goroutine if one is running
-// (parked — the scheduler holds the baton whenever kill runs);
-// streaming tenants have no goroutine and are simply marked done.
-func (st *run) kill(p *proc) {
-	if p.started && !p.finished {
-		p.killed = true
-		p.resume <- struct{}{}
-		<-p.done
-	}
-	p.finished = true
-	st.clearRunnable(p.id)
-}
-
-func (st *run) killAll() {
-	for _, p := range st.procs {
-		st.kill(p)
-	}
-}
-
-// finalize publishes the end-of-run per-tenant gauges and detaches the
-// scheduler from the machine.
-func (st *run) finalize() {
-	st.arb.finalize()
-	st.m.AccessObserver = nil
-	st.active = nil
+	st.arb.checkFloor(p.id)
 }

@@ -15,8 +15,8 @@ import (
 // synth is a minimal deterministic workload: reserve a region, then
 // sweep it with writes until the machine budget is exhausted (under
 // the tenant scheduler the per-space count never reaches the global
-// budget, so the scheduler's kill is what ends it — exactly the
-// contract real workloads follow).
+// budget, so the scheduler's stop at the global budget is what ends
+// it — exactly the contract real workloads follow).
 type synth struct {
 	name  string
 	bytes uint64
@@ -24,13 +24,18 @@ type synth struct {
 
 func (s *synth) Name() string { return s.name }
 
-func (s *synth) Run(m *sim.Machine, accesses uint64) {
+func (s *synth) Run(m *sim.Machine, accesses uint64) { workload.Run(m, s, accesses) }
+
+func (s *synth) Stream(m *sim.Machine, budget uint64) workload.Stream {
 	r := m.Reserve(s.bytes)
 	i := uint64(0)
-	for m.Accesses() < accesses {
-		m.Access(r.BaseVPN+i%r.Pages, i%4 != 3)
-		i++
-	}
+	return workload.FillFunc(func(dst []sim.Op) int {
+		for k := range dst {
+			dst[k] = sim.Op{VPN: r.BaseVPN + i%r.Pages, Write: i%4 != 3}
+			i++
+		}
+		return len(dst)
+	})
 }
 
 func smallConfig(seed int64) sim.Config {

@@ -3,6 +3,7 @@ package trace
 import (
 	"memtis/internal/sim"
 	"memtis/internal/tier"
+	"memtis/internal/workload"
 )
 
 // Capture attaches a trace writer to a machine: every access the
@@ -51,22 +52,30 @@ func (r *Replay) Records() int { return len(r.recs) }
 // it to budget machine capacity for a replay phase.
 func (r *Replay) SpanPages() uint64 { return r.span }
 
-// Run implements sim.Workload: the trace loops until the access budget
-// is consumed (a trace shorter than the budget repeats, modelling the
-// iterative structure of the original applications).
-func (r *Replay) Run(m *sim.Machine, accesses uint64) {
-	region := m.Reserve(r.span * tier.BasePageSize)
-	if len(r.recs) == 0 {
-		return
-	}
-	for m.Accesses() < accesses {
-		for _, rec := range r.recs {
-			if m.Accesses() >= accesses {
-				return
-			}
-			m.Access(region.BaseVPN+(rec.VPN-r.min), rec.Write)
+// Run implements sim.Workload by driving the stream alone.
+func (r *Replay) Run(m *sim.Machine, accesses uint64) { workload.Run(m, r, accesses) }
+
+// Stream implements workload.Streamer: it reserves the region the trace
+// is mapped into, then loops the trace until the budget is consumed (a
+// trace shorter than the budget repeats, modelling the iterative
+// structure of the original applications). An empty trace is an
+// exhausted stream.
+func (r *Replay) Stream(m *sim.Machine, budget uint64) workload.Stream {
+	off := m.Reserve(r.span*tier.BasePageSize).BaseVPN - r.min
+	next := 0
+	return workload.FillFunc(func(dst []sim.Op) int {
+		if len(r.recs) == 0 {
+			return 0
 		}
-	}
+		for i := range dst {
+			rec := r.recs[next]
+			dst[i] = sim.Op{VPN: off + rec.VPN, Write: rec.Write}
+			if next++; next == len(r.recs) {
+				next = 0
+			}
+		}
+		return len(dst)
+	})
 }
 
-var _ sim.Workload = (*Replay)(nil)
+var _ workload.Streamer = (*Replay)(nil)

@@ -3,6 +3,7 @@ package workload
 import (
 	"testing"
 
+	"memtis/internal/sim"
 	"memtis/internal/tier"
 )
 
@@ -16,15 +17,16 @@ var stepSink uint64
 // depend on b.N.
 const drawsPerMachine = 1 << 18
 
-// BenchmarkStepper measures each model's steady-phase generator alone,
-// one drawn access per iteration. Machines are built and the model
+// BenchmarkStepper measures each model's steady-phase stream alone,
+// one drawn access per Fill and iteration. Machines are built and the model
 // initialised with the timer stopped, and the drawn accesses are never
 // issued, so the figure is the generator's share of a simulated access
 // (603.bwaves' draws include its Reserve/FreeRegion churn).
 func BenchmarkStepper(b *testing.B) {
 	for _, w := range All() {
 		b.Run(w.Name(), func(b *testing.B) {
-			var step stepper
+			var steady Stream
+			var op [1]sim.Op
 			for i := 0; i < b.N; i++ {
 				if i%drawsPerMachine == 0 {
 					b.StopTimer()
@@ -32,10 +34,11 @@ func BenchmarkStepper(b *testing.B) {
 					// first-touch sweeps plus graph500's
 					// 12%-of-budget generation pass.
 					m := machineFor(w.Spec(), 1)
-					step = w.build(w.newCtx(m, 4*w.Spec().RSSBytes()/tier.BasePageSize))
+					steady = w.build(w.newCtx(m, 4*w.Spec().RSSBytes()/tier.BasePageSize))
 					b.StartTimer()
 				}
-				stepSink, _ = step()
+				steady.Fill(op[:])
+				stepSink = op[0].VPN
 			}
 		})
 	}

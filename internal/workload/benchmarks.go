@@ -4,6 +4,7 @@ import (
 	"math/rand"
 
 	"memtis/internal/dist"
+	"memtis/internal/sim"
 	"memtis/internal/tier"
 	"memtis/internal/vm"
 )
@@ -41,7 +42,7 @@ func (b blockZipf) next() uint64 {
 // dense) while probing edges with block-level skew. The vertex region
 // is allocated after the graph, so tiering systems must earn its
 // placement by migrating.
-func buildGraph500(c *ctx) stepper {
+func buildGraph500(c *ctx) Stream {
 	small := c.reserveSmall(c.spec.SmallBytes())
 	main := c.spec.RSSBytes() - c.spec.SmallBytes()
 	edges := c.reserve(main * 90 / 100)
@@ -49,16 +50,20 @@ func buildGraph500(c *ctx) stepper {
 	c.touchSmall(small)
 	c.touchAll(edges)
 	// Generation phase: another sequential write sweep over the edge
-	// region (frequent large-region accesses), ~12% of the budget.
-	genEnd := c.m.Accesses() + c.budget*12/100
-	for i := uint64(0); c.m.Accesses() < genEnd && c.m.Accesses() < c.budget; i++ {
-		c.m.Access(edges.vpnAt(i), true)
-	}
+	// region (frequent large-region accesses) for ~12% of the budget,
+	// counted in the space's accesses from where the phase starts.
+	var gi uint64
+	c.segs = append(c.segs, func(done uint64) (uint64, Stream) {
+		return done + c.budget*12/100, Steps(func() (uint64, bool) {
+			gi++
+			return edges.vpnAt(gi - 1), true
+		})
+	})
 	c.touchAll(vertices)
 	zv := newZipf(c.rng, 1.25, vertices.pages)
 	ze := newBlockZipf(c.rng, 1.45, edges)
 	smallStep := smallStepper(c, small)
-	return func() (uint64, bool) {
+	return Steps(func() (uint64, bool) {
 		switch r := c.rng.Uint32() % 1000; {
 		case r < 550:
 			return vertices.vpnAt(zv.Uint64()), c.pick(1, 3)
@@ -67,7 +72,7 @@ func buildGraph500(c *ctx) stepper {
 		default:
 			return smallStep()
 		}
-	}
+	})
 }
 
 // buildPageRank models GAP PageRank on the Twitter graph (§6.2.1): the
@@ -76,7 +81,7 @@ func buildGraph500(c *ctx) stepper {
 // hot rank vector. The explicit hot set (rank vector) is well below the
 // fast tier size, reproducing HeMem's Figure 2 pathology; the streamed
 // edges bait recency-based systems into promotion churn.
-func buildPageRank(c *ctx) stepper {
+func buildPageRank(c *ctx) Stream {
 	small := c.reserveSmall(c.spec.SmallBytes())
 	main := c.spec.RSSBytes() - c.spec.SmallBytes()
 	edges := c.reserve(main * 88 / 100)
@@ -87,7 +92,7 @@ func buildPageRank(c *ctx) stepper {
 	var cursor uint64
 	zr := newZipf(c.rng, 1.05, ranks.pages)
 	smallStep := smallStepper(c, small)
-	return func() (uint64, bool) {
+	return Steps(func() (uint64, bool) {
 		switch r := c.rng.Uint32() % 1000; {
 		case r < 420:
 			cursor++
@@ -97,7 +102,7 @@ func buildPageRank(c *ctx) stepper {
 		default:
 			return smallStep()
 		}
-	}
+	})
 }
 
 // buildXSBench models the Monte Carlo neutron transport kernel
@@ -106,18 +111,18 @@ func buildPageRank(c *ctx) stepper {
 // it. The hot region exceeds the fast tier except at 1:2, and because
 // it is allocated early, AutoNUMA's no-demotion placement happens to
 // work well at 1:2 — exactly the paper's observation.
-func buildXSBench(c *ctx) stepper {
+func buildXSBench(c *ctx) Stream {
 	main := c.reserve(c.spec.RSSBytes())
 	c.touchAll(main)
 	hotPages := main.pages * 35 / 100
 	hot := region{r: vm.Region{BaseVPN: main.r.BaseVPN, Pages: hotPages}, pages: hotPages}
 	zh := newBlockZipf(c.rng, 1.30, hot)
-	return func() (uint64, bool) {
+	return Steps(func() (uint64, bool) {
 		if c.pick(88, 100) {
 			return zh.next(), c.pick(1, 10)
 		}
 		return main.r.BaseVPN + hotPages + c.rng.Uint64()%(main.pages-hotPages), false
-	}
+	})
 }
 
 // buildLiblinear models linear classification over KDD12 (§6.2.3): the
@@ -125,7 +130,7 @@ func buildXSBench(c *ctx) stepper {
 // with block-level skew while a compact model region (allocated after
 // the data) stays hot. Hot huge pages exhibit high utilization
 // (Figure 3a), so MEMTIS keeps them whole.
-func buildLiblinear(c *ctx) stepper {
+func buildLiblinear(c *ctx) Stream {
 	small := c.reserveSmall(c.spec.SmallBytes())
 	main := c.spec.RSSBytes() - c.spec.SmallBytes()
 	features := c.reserve(main * 92 / 100)
@@ -137,7 +142,7 @@ func buildLiblinear(c *ctx) stepper {
 	zf := newBlockZipf(c.rng, 1.40, features)
 	zm := newZipf(c.rng, 1.15, model.pages)
 	smallStep := smallStepper(c, small)
-	return func() (uint64, bool) {
+	return Steps(func() (uint64, bool) {
 		switch r := c.rng.Uint32() % 1000; {
 		case r < 240:
 			cursor++
@@ -149,7 +154,7 @@ func buildLiblinear(c *ctx) stepper {
 		default:
 			return smallStep()
 		}
-	}
+	})
 }
 
 // buildSilo models the Silo in-memory database under YCSB-C (§6.2.4):
@@ -157,7 +162,7 @@ func buildLiblinear(c *ctx) stepper {
 // each huge page holds only a few hot subpages (Figure 3b) — the
 // showcase for skewness-aware splitting. Every subpage is written
 // during population, so splitting reclaims no memory (no bloat).
-func buildSilo(c *ctx) stepper {
+func buildSilo(c *ctx) Stream {
 	small := c.reserveSmall(c.spec.SmallBytes())
 	heap := c.reserve(c.spec.RSSBytes() - c.spec.SmallBytes())
 	c.touchSmall(small)
@@ -165,12 +170,12 @@ func buildSilo(c *ctx) stepper {
 	pm := newPerm(c.rng, heap.pages)
 	z := newZipf(c.rng, 1.15, heap.pages)
 	smallStep := smallStepper(c, small)
-	return func() (uint64, bool) {
+	return Steps(func() (uint64, bool) {
 		if c.pick(96, 100) {
 			return heap.r.BaseVPN + pm.zipfAt(z.Uint64()), false
 		}
 		return smallStep()
-	}
+	})
 }
 
 // buildBtree models the Mitosis BTree lookup benchmark (§6.2.5): the
@@ -178,7 +183,7 @@ func buildSilo(c *ctx) stepper {
 // subpages are ever written — and lookups are skewed over scattered
 // leaves, so hot huge pages have low utilization. Splitting both
 // improves the hit ratio and reclaims the never-written subpages.
-func buildBtree(c *ctx) stepper {
+func buildBtree(c *ctx) Stream {
 	inner := c.reserveSmall(c.spec.SmallBytes()) // internal nodes: hot
 	heap := c.reserve(c.spec.RSSBytes() - c.spec.SmallBytes())
 	c.touchSmall(inner)
@@ -189,16 +194,21 @@ func buildBtree(c *ctx) stepper {
 			touched = append(touched, uint32(i))
 		}
 	}
-	for _, i := range touched {
-		if c.m.Accesses() >= c.budget {
-			break
+	rest := touched
+	c.segs = append(c.segs, segOf(FillFunc(func(dst []sim.Op) int {
+		if len(rest) < len(dst) {
+			dst = dst[:len(rest)]
 		}
-		c.m.Access(heap.r.BaseVPN+uint64(i), true)
-	}
+		for i := range dst {
+			dst[i] = sim.Op{VPN: heap.r.BaseVPN + uint64(rest[i]), Write: true}
+		}
+		rest = rest[len(dst):]
+		return len(dst)
+	})))
 	pm := newPerm(c.rng, uint64(len(touched)))
 	z := newZipf(c.rng, 1.25, uint64(len(touched)))
 	innerStep := smallStepper(c, inner)
-	return func() (uint64, bool) {
+	return Steps(func() (uint64, bool) {
 		switch r := c.rng.Uint32() % 1000; {
 		case r < 350:
 			// Internal-node traversal: small, very hot regions.
@@ -208,7 +218,7 @@ func buildBtree(c *ctx) stepper {
 			leaf := touched[pm.at(z.Uint64())%uint64(len(touched))]
 			return heap.r.BaseVPN + uint64(leaf), c.pick(1, 20)
 		}
-	}
+	})
 }
 
 // buildBwaves models 603.bwaves (§6.2.6): long-lived solver arrays plus
@@ -217,30 +227,24 @@ func buildBtree(c *ctx) stepper {
 // serve the churn from DRAM; AutoTiering reserves free space only for
 // promotions and AutoNUMA cannot demote at all, so their churn lands on
 // the capacity tier.
-func buildBwaves(c *ctx) stepper {
+func buildBwaves(c *ctx) Stream {
 	small := c.reserveSmall(c.spec.SmallBytes())
 	long := c.reserve(c.spec.RSSBytes() * 70 / 100)
 	c.touchSmall(small)
 	c.touchAll(long)
 	zl := newBlockZipf(c.rng, 1.30, long)
 	var cursor uint64
-	// Short-lived allocation state machine.
+	// Short-lived buffer protocol: write it fully, read it back, free
+	// it, allocate the next. The free is deferred to the draw after
+	// the last read so that read's VPN is still mapped when the
+	// machine issues it; a draw that needs the free or the next
+	// allocation ends the batch (drawn), and the next Fill performs
+	// them before its first op.
 	var cur vm.Region
 	var curIdx uint64
-	var phaseWrite, freePending bool
+	var phaseWrite, freePending, drawn bool
 	const shortPages = tier.SubPages // 2MB short-lived buffers
-	return func() (uint64, bool) {
-		if c.pick(45, 100) {
-			if c.pick(1, 2) {
-				cursor++
-				return long.vpnAt(cursor), false
-			}
-			return zl.next(), c.pick(1, 4)
-		}
-		// Short-lived buffer protocol: write it fully, read it back,
-		// free it, allocate the next. The free is deferred to the call
-		// after the last read so the returned VPN is still mapped when
-		// the machine issues the access.
+	prepare := func() {
 		if freePending {
 			c.m.FreeRegion(cur)
 			cur = vm.Region{}
@@ -250,8 +254,9 @@ func buildBwaves(c *ctx) stepper {
 			cur = c.m.Reserve(shortPages * tier.BasePageSize)
 			curIdx, phaseWrite = 0, true
 		}
-		vpn := cur.BaseVPN + curIdx
-		w := phaseWrite
+	}
+	short := func() sim.Op {
+		op := sim.Op{VPN: cur.BaseVPN + curIdx, Write: phaseWrite}
 		curIdx++
 		if curIdx >= cur.Pages {
 			curIdx = 0
@@ -261,8 +266,37 @@ func buildBwaves(c *ctx) stepper {
 				freePending = true
 			}
 		}
-		return vpn, w
+		return op
 	}
+	return FillFunc(func(dst []sim.Op) int {
+		i := 0
+		if drawn {
+			if prepare(); len(dst) == 0 {
+				return 0
+			}
+			dst[0], drawn, i = short(), false, 1
+		}
+		for ; i < len(dst); i++ {
+			if c.pick(45, 100) {
+				if c.pick(1, 2) {
+					cursor++
+					dst[i] = sim.Op{VPN: long.vpnAt(cursor)}
+				} else {
+					dst[i] = sim.Op{VPN: zl.next(), Write: c.pick(1, 4)}
+				}
+				continue
+			}
+			if freePending || cur.Pages == 0 {
+				if i > 0 {
+					drawn = true
+					return i
+				}
+				prepare()
+			}
+			dst[i] = short()
+		}
+		return len(dst)
+	})
 }
 
 // buildRoms models 654.roms (§6.2.6): a moderately skewed working set
@@ -270,7 +304,7 @@ func buildBwaves(c *ctx) stepper {
 // full arrays. Its high access rate is what drives ksampled's period
 // upward (§6.3.5); splitting helps its hit ratio only slightly
 // (Figure 12) because the skew lives at block, not subpage, level.
-func buildRoms(c *ctx) stepper {
+func buildRoms(c *ctx) Stream {
 	small := c.reserveSmall(c.spec.SmallBytes())
 	arrays := c.reserve(c.spec.RSSBytes() - c.spec.SmallBytes())
 	c.touchSmall(small)
@@ -279,7 +313,7 @@ func buildRoms(c *ctx) stepper {
 	zw := newBlockZipf(c.rng, 1.40, work)
 	var cursor uint64
 	smallStep := smallStepper(c, small)
-	return func() (uint64, bool) {
+	return Steps(func() (uint64, bool) {
 		switch r := c.rng.Uint32() % 1000; {
 		case r < 260:
 			cursor++
@@ -289,5 +323,5 @@ func buildRoms(c *ctx) stepper {
 		default:
 			return smallStep()
 		}
-	}
+	})
 }

@@ -106,21 +106,23 @@ func (s *Synthetic) TotalBytes() uint64 {
 	return t
 }
 
-// Run implements sim.Workload.
-func (s *Synthetic) Run(m *sim.Machine, accesses uint64) {
+// Run implements sim.Workload by driving the stream alone.
+func (s *Synthetic) Run(m *sim.Machine, accesses uint64) { Run(m, s, accesses) }
+
+// Stream implements Streamer: the regions are reserved now, and each
+// one not marked SkipInit gets a first-touch sweep ahead of the steady
+// mix.
+func (s *Synthetic) Stream(m *sim.Machine, budget uint64) Stream {
 	rng := rand.New(rand.NewSource(m.Cfg.Seed ^ int64(len(s.spec.Name))<<7))
 	regions := map[string]region{}
 	for _, rs := range s.spec.Regions {
 		r := m.Reserve(rs.Bytes)
 		regions[rs.Name] = region{r: r, pages: r.Pages}
 	}
+	var segs []Seg
 	for _, rs := range s.spec.Regions {
-		if rs.SkipInit {
-			continue
-		}
-		reg := regions[rs.Name]
-		for i := uint64(0); i < reg.pages && m.Accesses() < accesses; i++ {
-			m.Access(reg.r.BaseVPN+i, true)
+		if r := regions[rs.Name]; !rs.SkipInit {
+			segs = append(segs, segOf(Sweep(r.r.BaseVPN, r.pages)))
 		}
 	}
 	type armedPhase struct {
@@ -149,9 +151,7 @@ func (s *Synthetic) Run(m *sim.Machine, accesses uint64) {
 		total += p.Weight
 		weights = append(weights, total)
 	}
-	// The steady mix is a pure stepper (regions are fixed by now), so
-	// it goes through the batched issue path.
-	issueBatched(m, accesses, func() (uint64, bool) {
+	return NewSeq(m, budget, append(segs, segOf(Steps(func() (uint64, bool) {
 		pick := rng.Intn(total)
 		idx := 0
 		for weights[idx] <= pick {
@@ -159,7 +159,7 @@ func (s *Synthetic) Run(m *sim.Machine, accesses uint64) {
 		}
 		ph := phases[idx]
 		return ph.reg.r.BaseVPN + ph.src.Next(), rng.Intn(100) < ph.write
-	})
+	}))))
 }
 
-var _ sim.Workload = (*Synthetic)(nil)
+var _ Streamer = (*Synthetic)(nil)

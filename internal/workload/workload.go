@@ -6,6 +6,12 @@
 // memory bloat, allocation churn — with the resident set scaled down
 // ~128x (1 paper-GB = 8 simulated MB) while preserving every ratio the
 // tiering decisions depend on (see DESIGN.md §4).
+//
+// The package also defines the one execution model every access source
+// follows (DESIGN.md §13): a Streamer's resumable op Stream, whose
+// reservations, frees and phase changes are part of the stream, issued
+// by Drive — alone through Run, or a slice at a time by the tenant
+// scheduler.
 package workload
 
 import (
@@ -74,12 +80,7 @@ type stepper func() (vpn uint64, write bool)
 // W is one runnable benchmark model.
 type W struct {
 	spec  Spec
-	build func(c *ctx) stepper
-	// stateful marks steppers that mutate machine state between
-	// accesses (Reserve/FreeRegion churn): their accesses must be
-	// issued one at a time, because pre-generating a batch would run
-	// the mutation before earlier accesses reach the machine.
-	stateful bool
+	build func(c *ctx) Stream
 }
 
 // Name implements sim.Workload.
@@ -88,110 +89,185 @@ func (w *W) Name() string { return w.spec.Name }
 // Spec returns the benchmark's Table 2 description.
 func (w *W) Spec() Spec { return w.spec }
 
-// batchSize is the steady-phase issue granularity: large enough to
-// amortise the per-access budget check and stepper indirection, small
-// enough that the Op buffer stays L1-resident (4KB).
-const batchSize = 256
+// Run implements sim.Workload by driving the model's stream alone.
+func (w *W) Run(m *sim.Machine, accesses uint64) { Run(m, w, accesses) }
 
-// Run implements sim.Workload: the build function performs the
-// initialisation phase (allocations and first-touch writes count toward
-// the access budget), then the steady-phase stepper is driven until the
-// budget is exhausted. Pure steppers are issued through
-// sim.Machine.AccessBatch — byte-identical to access-at-a-time (the
-// batch API's contract, pinned by TestAccessBatchMatchesSequential) but
-// with the loop bookkeeping amortised; stateful steppers (allocation
-// churn) keep the one-at-a-time path.
-func (w *W) Run(m *sim.Machine, accesses uint64) {
-	step := w.build(w.newCtx(m, accesses))
-	if w.stateful {
-		for m.Accesses() < accesses {
-			vpn, write := step()
-			m.Access(vpn, write)
-		}
-		return
-	}
-	issueBatched(m, accesses, step)
+// Stream implements Streamer: the build function reserves the model's
+// regions now and queues its initialisation phase — first-touch sweeps
+// and the like, which count toward the budget — ahead of the
+// steady-phase stream.
+func (w *W) Stream(m *sim.Machine, budget uint64) Stream {
+	c := w.newCtx(m, budget)
+	steady := w.build(c)
+	return NewSeq(m, budget, append(c.segs, segOf(steady)))
 }
 
-// issueBatched drives a pure stepper until the machine has issued
-// budget accesses, filling a fixed Op buffer and handing it to
-// AccessBatch. Each Access advances m.Accesses() by exactly one and
-// nothing else does, so issuing min(batchSize, remaining) ops per round
-// lands on the budget exactly, as the per-access check would.
-func issueBatched(m *sim.Machine, budget uint64, step stepper) {
-	var buf [batchSize]sim.Op
-	for {
-		done := m.Accesses()
-		if done >= budget {
-			return
-		}
-		n := budget - done
-		if n > batchSize {
-			n = batchSize
-		}
-		for i := uint64(0); i < n; i++ {
-			buf[i].VPN, buf[i].Write = step()
-		}
-		m.AccessBatch(buf[:n])
-	}
+// Stream is a workload's suspended drive: everything it needs to
+// resume — regions, RNG state, phase — lives behind Fill, and a
+// scheduler suspends it simply by not calling Fill.
+type Stream interface {
+	// Fill writes the stream's next ops into dst and returns how many
+	// it wrote. A short batch is allowed (a stream stops one before a
+	// machine mutation, so that the mutation lands between the right
+	// two accesses); 0 for a non-empty dst means the stream is
+	// exhausted. The ops are issued only after Fill returns, so Fill
+	// may call m.Reserve, m.FreeRegion or m.Accesses only before it
+	// writes its first op of the call. A zero-length Fill runs the
+	// mutations already due before the next op — once the budget is
+	// spent, all that remain.
+	Fill(dst []sim.Op) int
 }
 
-// Drive issues accesses from a pure step function until the machine's
-// cumulative access count reaches target, using the same batched issue
-// path as the benchmark models (byte-identical to access-at-a-time).
-// It is the building block external composers — notably
-// internal/scenario — use to drive synthetic phases with workload's
-// exact issue discipline. step must not mutate machine state.
-func Drive(m *sim.Machine, target uint64, step func() (vpn uint64, write bool)) {
-	issueBatched(m, target, step)
-}
+// FillFunc adapts a function to Stream.
+type FillFunc func(dst []sim.Op) int
 
-// Env is the execution environment a streaming workload initialises
-// against when an external scheduler — rather than the workload's own
-// Run loop — will pull its accesses: a reservation primitive for the
-// tenant's address space and the machine seed.
-type Env struct {
-	// Reserve carves a region out of the workload's address space,
-	// exactly like sim.Machine.Reserve would during Run.
-	Reserve func(bytes uint64) vm.Region
-	// Seed is the machine seed the workload derives its deterministic
-	// access stream from (sim.Config.Seed).
-	Seed int64
-}
+// Fill implements Stream.
+func (f FillFunc) Fill(dst []sim.Op) int { return f(dst) }
 
-// Stream is the explicit suspend/resume state of one streaming drive:
-// where the goroutine-baton scheduler parked a blocked goroutine
-// between slices, an inline scheduler holds this struct and pulls
-// accesses from Step whenever the workload is scheduled. All resume
-// state (regions, RNG counters, phase) lives behind the closure; the
-// stream is suspended simply by not calling Step.
-type Stream struct {
-	// Step emits the next access of the workload's deterministic
-	// stream. It must not mutate machine state (no reservations or
-	// frees), so a scheduler may pre-generate a batch of accesses
-	// before issuing them.
-	Step func() (vpn uint64, write bool)
-	// Fill, when non-nil, writes the stream's next len(dst) accesses
-	// into dst — exactly the ops len(dst) sequential Step calls would
-	// return, advancing the same state. It exists purely to amortise
-	// the per-access closure call across a batch on the scheduler hot
-	// path; schedulers may mix Fill and Step calls freely.
-	Fill func(dst []sim.Op)
-}
-
-// Streamer is a sim.Workload that can also run as a resumable stepper
-// under an inline scheduler. Stream must produce exactly the access
-// stream Run would issue (the budget and slice bounds are the
-// driver's job), so a scheduler may use either form interchangeably;
-// workloads with non-trivial machine interaction (mid-stream
-// allocation churn, phased initialisation issuing accesses) cannot
-// satisfy the contract and simply do not implement it — schedulers
-// fall back to driving their Run on a dedicated goroutine.
+// Streamer is a sim.Workload whose accesses all come from one
+// resumable op stream. Run must be Run(m, w, accesses), so a workload
+// issues the same accesses whether it runs alone or as a tenant.
 type Streamer interface {
 	sim.Workload
-	// Stream performs the workload's setup (reservations only) against
-	// env and returns the suspended drive state.
-	Stream(env Env) Stream
+	// Stream starts a drive of at most budget accesses on m's current
+	// address space. It may reserve: it runs where Run would begin.
+	Stream(m *sim.Machine, budget uint64) Stream
+}
+
+// batchSize is the drive's issue granularity: large enough to amortise
+// the per-access budget check and stream indirection, small enough
+// that the Op buffer stays L1-resident (4KB).
+const batchSize = 256
+
+// BatchBuf is a batch buffer for Drive.
+type BatchBuf [batchSize]sim.Op
+
+// noLimit is an unbounded access count.
+const noLimit = ^uint64(0)
+
+// Drive issues s's ops on m through buf until the current space has
+// issued budget accesses or the machine end accesses in total, or s is
+// exhausted. It reports whether the stream is done (budget spent or
+// exhausted) rather than stopped at end. Every streamed access goes
+// through here, in sim.Machine.AccessBatch calls: byte-identical to
+// access-at-a-time (the batch API's contract, pinned by
+// TestAccessBatchMatchesSequential), with the loop bookkeeping
+// amortised. Each access advances both counts by exactly one and
+// nothing else does mid-batch, so the batch bounds land on budget and
+// end exactly.
+func Drive(m *sim.Machine, s Stream, budget, end uint64, buf *BatchBuf) (done bool) {
+	for {
+		total := m.TotalAccesses()
+		if total >= end {
+			return false
+		}
+		n := m.Accesses()
+		if n >= budget {
+			return true
+		}
+		k := end - total
+		if r := budget - n; r < k {
+			k = r
+		}
+		if k > batchSize {
+			k = batchSize
+		}
+		if k = uint64(s.Fill(buf[:k])); k == 0 {
+			return true
+		}
+		m.AccessBatch(buf[:k])
+	}
+}
+
+// Run drives w alone on m until the space has issued budget accesses,
+// then makes one zero-length Fill for the mutations the stream still
+// owes (a scenario's churn-only phases after the budget is spent): the
+// Run of every Streamer. A tenant is stopped at the global budget
+// instead, so it never owes them.
+func Run(m *sim.Machine, w Streamer, budget uint64) {
+	s := w.Stream(m, budget)
+	Drive(m, s, budget, noLimit, new(BatchBuf))
+	s.Fill(nil)
+}
+
+// Seg starts one segment of a NewSeq stream: a contiguous run of ops. It runs
+// when the segment becomes current, before the segment's first op —
+// the point where a stream may reserve or free — with the space's
+// access count, and returns the count the segment runs up to and its op
+// source. A nil source makes a mutation-only segment; a source that is
+// exhausted ends its segment early.
+type Seg func(done uint64) (until uint64, ops Stream)
+
+// seq is a Stream that plays segments in order, each bounded by the
+// count its start returned and by the sequence budget. One Fill serves
+// at most one segment, so every segment starts at the head of a call.
+type seq struct {
+	m      *sim.Machine
+	budget uint64
+	segs   []Seg
+	until  uint64
+	ops    Stream // current segment's source; nil between segments
+}
+
+// NewSeq returns the stream that plays segs in order on m's current
+// space, each bounded by the count its start returned and by budget.
+func NewSeq(m *sim.Machine, budget uint64, segs []Seg) Stream {
+	return &seq{m: m, budget: budget, segs: segs}
+}
+
+func (q *seq) Fill(dst []sim.Op) int {
+	done := q.m.Accesses()
+	for {
+		for q.ops == nil {
+			if len(q.segs) == 0 {
+				return 0
+			}
+			q.until, q.ops = q.segs[0](done)
+			q.segs = q.segs[1:]
+		}
+		if done < q.until && done < q.budget {
+			if len(dst) == 0 {
+				return 0
+			}
+			n := uint64(len(dst))
+			if r := q.until - done; r < n {
+				n = r
+			}
+			if r := q.budget - done; r < n {
+				n = r
+			}
+			if k := q.ops.Fill(dst[:n]); k > 0 {
+				return k
+			}
+		}
+		q.ops = nil
+	}
+}
+
+// Sweep is the stream of first-touch writes to pages consecutive pages
+// from base; it is exhausted after the last.
+func Sweep(base, pages uint64) Stream {
+	return FillFunc(func(dst []sim.Op) int {
+		n := uint64(len(dst))
+		if pages < n {
+			n = pages
+		}
+		for i := range dst[:n] {
+			dst[i] = sim.Op{VPN: base + uint64(i), Write: true}
+		}
+		base, pages = base+n, pages-n
+		return int(n)
+	})
+}
+
+// Steps is the endless stream of a stepper's accesses.
+func Steps(step func() (vpn uint64, write bool)) Stream {
+	return FillFunc(func(dst []sim.Op) int {
+		for i := range dst {
+			dst[i].VPN, dst[i].Write = step()
+		}
+		return len(dst)
+	})
 }
 
 // New builds the named benchmark model.
@@ -200,7 +276,7 @@ func New(name string) (*W, error) {
 	if err != nil {
 		return nil, err
 	}
-	var build func(c *ctx) stepper
+	var build func(c *ctx) Stream
 	switch name {
 	case "graph500":
 		build = buildGraph500
@@ -219,9 +295,7 @@ func New(name string) (*W, error) {
 	case "654.roms":
 		build = buildRoms
 	}
-	// bwaves' stepper reserves and frees its short-lived buffers
-	// between accesses, so its accesses cannot be pre-generated.
-	return &W{spec: spec, build: build, stateful: name == "603.bwaves"}, nil
+	return &W{spec: spec, build: build}, nil
 }
 
 // NewScaled builds the named benchmark with an overridden paper-scale
@@ -255,7 +329,7 @@ func All() []*W {
 	return ws
 }
 
-// newCtx is the build state Run hands to w.build: the machine, the
+// newCtx is the build state Stream hands to w.build: the machine, the
 // access budget and the RNG the model's stream is seeded from.
 func (w *W) newCtx(m *sim.Machine, budget uint64) *ctx {
 	return &ctx{
@@ -266,12 +340,15 @@ func (w *W) newCtx(m *sim.Machine, budget uint64) *ctx {
 	}
 }
 
-// ctx carries build/run state shared by the generators.
+// ctx carries build/run state shared by the generators: reservations
+// happen at build time, and the initialisation phase is queued as segs
+// to play ahead of the steady-phase stream.
 type ctx struct {
 	m      *sim.Machine
 	rng    *rand.Rand
 	budget uint64
 	spec   Spec
+	segs   []Seg
 }
 
 // region wraps a reservation with conveniences for page-granular access.
@@ -308,36 +385,21 @@ func (c *ctx) reserveSmall(total uint64) []region {
 // vpnAt returns the region's i-th page VPN.
 func (r region) vpnAt(i uint64) uint64 { return r.r.BaseVPN + i%r.pages }
 
-// touchAll writes one word per page sequentially (first-touch init),
-// counting toward the access budget. Issued in batches: the init sweep
-// is a pure function of the region, so pre-generating it is safe.
-func (c *ctx) touchAll(r region) {
-	var buf [batchSize]sim.Op
-	for i := uint64(0); i < r.pages; {
-		done := c.m.Accesses()
-		if done >= c.budget {
-			return
-		}
-		n := c.budget - done
-		if n > batchSize {
-			n = batchSize
-		}
-		if rem := r.pages - i; n > rem {
-			n = rem
-		}
-		for k := uint64(0); k < n; k++ {
-			buf[k] = sim.Op{VPN: r.r.BaseVPN + i + k, Write: true}
-		}
-		c.m.AccessBatch(buf[:n])
-		i += n
-	}
-}
+// touchAll queues a sequential one-word-per-page write sweep over the
+// region (first-touch init), counting toward the access budget.
+func (c *ctx) touchAll(r region) { c.segs = append(c.segs, segOf(Sweep(r.r.BaseVPN, r.pages))) }
 
-// touchSmall initialises a set of small regions.
+// touchSmall queues the init sweeps of a set of small regions.
 func (c *ctx) touchSmall(rs []region) {
 	for _, r := range rs {
 		c.touchAll(r)
 	}
+}
+
+// segOf is the segment that plays ops until they are exhausted or the
+// budget is spent.
+func segOf(ops Stream) Seg {
+	return func(uint64) (uint64, Stream) { return noLimit, ops }
 }
 
 // newZipf draws skewed indexes in [0, n) exactly as rand.NewZipf(rng,
@@ -403,7 +465,7 @@ func smallStepper(c *ctx, rs []region) stepper {
 	}
 }
 
-var _ sim.Workload = (*W)(nil)
+var _ Streamer = (*W)(nil)
 
 // HugeAllocRatio computes the fraction of RSS mapped by huge pages on
 // the machine — the measured RHP for Table 2.
