@@ -1,7 +1,9 @@
 // Per-policy access benchmarks: every OnAccess implementation runs on
 // the machine's hot loop, so each policy gets its own sub-benchmark.
 // Comparing BenchmarkPolicyAccess/<name> against BenchmarkMachineAccess
-// (internal/sim, no policy) isolates the policy's per-access overhead.
+// (internal/sim, no policy) isolates the policy's per-access overhead;
+// BenchmarkPolicyBatch/<name> measures the same accesses on the batched
+// path every workload takes.
 package bench
 
 import (
@@ -45,6 +47,29 @@ func BenchmarkPolicyAccess(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				m.Access(vpns[i&(len(vpns)-1)], i&7 == 0)
+			}
+		})
+	}
+}
+
+// BenchmarkPolicyBatch issues BenchmarkPolicyAccess's accesses through
+// Machine.AccessBatch in 256-op batches, as workload.Drive does, so a
+// gated policy's skipped OnAccess calls show in its ns/op. One
+// iteration is one access.
+func BenchmarkPolicyBatch(b *testing.B) {
+	const batch = 256
+	for _, name := range AllPolicies {
+		b.Run(name, func(b *testing.B) {
+			m, vpns := policyBenchMachine(NewPolicy(name))
+			ops := make([]sim.Op, len(vpns))
+			for i, vpn := range vpns {
+				ops[i] = sim.Op{VPN: vpn, Write: i&7 == 0}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i += batch {
+				j := i & (len(ops) - 1)
+				m.AccessBatch(ops[j : j+min(batch, b.N-i)])
 			}
 		})
 	}

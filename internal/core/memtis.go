@@ -263,6 +263,7 @@ type Policy struct {
 
 var _ sim.Policy = (*Policy)(nil)
 var _ sim.HotSetReporter = (*Policy)(nil)
+var _ sim.Gated = (*Policy)(nil)
 
 // New creates a MEMTIS policy with the given configuration.
 func New(cfg Config) *Policy {
@@ -346,16 +347,13 @@ func (p *Policy) Capabilities() sim.Capability { return 0 }
 // Sampler exposes the PEBS controller for overhead reporting (§6.3.5).
 func (p *Policy) Sampler() *pebs.Sampler { return p.smp }
 
-// SampleGate implements sim.FastSampled: on every variant except
-// hybrid scanning, OnAccess does nothing on a non-faulting access the
-// sampler ignores, so the machine may serve those accesses through its
-// policy bypass. HybridScan marks every touched page's scan-referenced
-// flag per access and must keep seeing the full stream.
-func (p *Policy) SampleGate() *pebs.Sampler {
-	if p.cfg.HybridScan {
-		return nil
-	}
-	return p.smp
+// AccessGate implements sim.Gated: on every variant except hybrid
+// scanning, OnAccess does nothing on a mapped access the sampler
+// ignores, so MEMTIS gates on its sampler and sets no traps. HybridScan
+// marks every touched page's scan-referenced flag per access and stays
+// ungated, seeing the full stream.
+func (p *Policy) AccessGate() (*pebs.Sampler, bool) {
+	return p.smp, !p.cfg.HybridScan
 }
 
 // deref reads a registry cell that may not be bound yet (before

@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"memtis/internal/pebs"
 	"memtis/internal/sim"
 	"memtis/internal/tier"
 	"memtis/internal/vm"
@@ -18,6 +19,7 @@ type AutoNUMA struct {
 }
 
 var _ sim.Policy = (*AutoNUMA)(nil)
+var _ sim.Gated = (*AutoNUMA)(nil)
 
 // NewAutoNUMA returns the AutoNUMA baseline.
 func NewAutoNUMA() *AutoNUMA { return &AutoNUMA{} }
@@ -36,6 +38,7 @@ func (a *AutoNUMA) OnAccess(tr vm.TouchResult, vpn uint64, write bool) uint64 {
 		return 0
 	}
 	pg.PFlags &^= flagArmed
+	a.M.AS.SetTrap(pg, false)
 	stall := uint64(HintFaultNS)
 	if pg.Tier != tier.FastTier {
 		// Promote on the critical path; silently skipped when the next
@@ -46,6 +49,10 @@ func (a *AutoNUMA) OnAccess(tr vm.TouchResult, vpn uint64, write bool) uint64 {
 	}
 	return stall
 }
+
+// AccessGate implements sim.Gated: OnAccess acts only on armed pages,
+// which the rearmer traps (the kernel's PROT_NONE hint-fault entry).
+func (a *AutoNUMA) AccessGate() (*pebs.Sampler, bool) { return nil, true }
 
 // Tick implements sim.Policy: the gradual hint-fault re-arm sweep.
 // Unmapping PTEs for hint faults costs scan work charged to the kernel

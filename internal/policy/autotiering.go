@@ -3,6 +3,7 @@ package policy
 import (
 	"math/bits"
 
+	"memtis/internal/pebs"
 	"memtis/internal/sim"
 	"memtis/internal/tier"
 	"memtis/internal/vm"
@@ -25,6 +26,7 @@ type AutoTiering struct {
 }
 
 var _ sim.Policy = (*AutoTiering)(nil)
+var _ sim.Gated = (*AutoTiering)(nil)
 
 // NewAutoTiering returns the AutoTiering baseline.
 func NewAutoTiering() *AutoTiering { return &AutoTiering{reserve: 0.04} }
@@ -65,6 +67,7 @@ func (a *AutoTiering) OnAccess(tr vm.TouchResult, vpn uint64, write bool) uint64
 		return 0
 	}
 	pg.PFlags &^= flagArmed
+	a.M.AS.SetTrap(pg, false)
 	pg.P0 |= 1 // set current history bit
 	stall := uint64(HintFaultNS)
 	if pg.Tier != tier.FastTier {
@@ -73,6 +76,10 @@ func (a *AutoTiering) OnAccess(tr vm.TouchResult, vpn uint64, write bool) uint64
 	}
 	return stall
 }
+
+// AccessGate implements sim.Gated: OnAccess acts only on armed pages,
+// which the rearmer traps.
+func (a *AutoTiering) AccessGate() (*pebs.Sampler, bool) { return nil, true }
 
 // Tick implements sim.Policy: re-arm hint faults, age history vectors
 // once per full scan sweep, and run the background LFU demotion thread.

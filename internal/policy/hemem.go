@@ -1,6 +1,8 @@
 package policy
 
 import (
+	"math"
+
 	"memtis/internal/obs"
 	"memtis/internal/pebs"
 	"memtis/internal/sim"
@@ -39,6 +41,7 @@ type HeMem struct {
 
 var _ sim.Policy = (*HeMem)(nil)
 var _ sim.HotSetReporter = (*HeMem)(nil)
+var _ sim.Gated = (*HeMem)(nil)
 
 // NewHeMem returns the HeMem baseline.
 func NewHeMem() *HeMem {
@@ -52,14 +55,17 @@ func (h *HeMem) Name() string { return "hemem" }
 func (h *HeMem) Attach(m *sim.Machine) {
 	h.Base.Attach(m)
 	// HeMem polls PEBS buffers from a spinning thread; its sampling
-	// period is fixed (no feedback controller). Same scaled period as
-	// MEMTIS's initial one so both see comparable sample streams.
+	// period is fixed (no feedback controller: MaybeAdjust is never
+	// called, and the controller is never due, so FeedFast declines only
+	// for samples). Same scaled period as MEMTIS's initial one so both
+	// see comparable sample streams.
 	h.smp = pebs.NewSampler(pebs.Config{
 		LoadPeriod:  20,
 		StorePeriod: 10_000,
 		MinPeriod:   20,
 		MaxPeriod:   20,
 		CostNS:      160,
+		AdjustNS:    math.MaxUint64,
 	})
 	h.nextWake = h.wakeEvery
 	h.smp.Trace = m.Cfg.Trace
@@ -111,6 +117,10 @@ func (h *HeMem) OnAccess(tr vm.TouchResult, vpn uint64, write bool) uint64 {
 	}
 	return 0
 }
+
+// AccessGate implements sim.Gated: OnAccess acts only on sampled
+// accesses, so HeMem gates on its sampler and traps nothing.
+func (h *HeMem) AccessGate() (*pebs.Sampler, bool) { return h.smp, true }
 
 func (h *HeMem) sample(pg *vm.Page) {
 	if pg.Dead() {

@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"memtis/internal/pebs"
 	"memtis/internal/sim"
 	"memtis/internal/tier"
 	"memtis/internal/vm"
@@ -24,6 +25,7 @@ type MultiClock struct {
 }
 
 var _ sim.Policy = (*MultiClock)(nil)
+var _ sim.Gated = (*MultiClock)(nil)
 
 // NewMultiClock returns the MULTI-CLOCK baseline.
 func NewMultiClock() *MultiClock {
@@ -41,8 +43,13 @@ func (c *MultiClock) OnAccess(tr vm.TouchResult, vpn uint64, write bool) uint64 
 		tr.Page.P0 = 0
 	}
 	tr.Page.PFlags |= flagAccessed
+	c.M.AS.SetTrap(tr.Page, false)
 	return 0
 }
+
+// AccessGate implements sim.Gated: OnAccess only sets the accessed
+// flag, so a page is trapped exactly while the flag is clear.
+func (c *MultiClock) AccessGate() (*pebs.Sampler, bool) { return nil, true }
 
 // Tick implements sim.Policy: harvest accessed bits into 2-bit
 // reference counters, collect promotion candidates at the threshold of
@@ -61,6 +68,7 @@ func (c *MultiClock) Tick(now uint64) {
 	for _, pg := range c.Registry {
 		if pg.PFlags&flagAccessed != 0 {
 			pg.PFlags &^= flagAccessed
+			c.M.AS.SetTrap(pg, true)
 			if pg.P0 < 3 {
 				pg.P0++
 			}

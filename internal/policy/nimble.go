@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"memtis/internal/pebs"
 	"memtis/internal/sim"
 	"memtis/internal/tier"
 	"memtis/internal/vm"
@@ -25,6 +26,7 @@ type Nimble struct {
 }
 
 var _ sim.Policy = (*Nimble)(nil)
+var _ sim.Gated = (*Nimble)(nil)
 
 // NewNimble returns the Nimble baseline.
 func NewNimble() *Nimble { return &Nimble{scanEveryNS: 5_000_000} }
@@ -39,8 +41,14 @@ func (n *Nimble) OnAccess(tr vm.TouchResult, vpn uint64, write bool) uint64 {
 		n.Register(tr.Page)
 	}
 	tr.Page.PFlags |= flagAccessed
+	n.M.AS.SetTrap(tr.Page, false)
 	return 0
 }
+
+// AccessGate implements sim.Gated: OnAccess only sets the accessed
+// flag, so a page is trapped exactly while the flag is clear — the
+// accessed bit the scan cleared, which the MMU sets on the next access.
+func (n *Nimble) AccessGate() (*pebs.Sampler, bool) { return nil, true }
 
 // Tick implements sim.Policy: periodic full page-table scan plus the
 // exchange-migration pass, both on the scan period. The scan interval
@@ -62,6 +70,7 @@ func (n *Nimble) Tick(now uint64) {
 	for _, pg := range n.Registry {
 		if pg.PFlags&flagAccessed != 0 {
 			pg.PFlags &^= flagAccessed
+			n.M.AS.SetTrap(pg, true)
 			if pg.Tier != tier.FastTier {
 				n.hot = append(n.hot, pg)
 			}

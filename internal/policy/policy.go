@@ -16,6 +16,14 @@ import (
 
 // Page flag bits shared by the baselines (one policy owns a machine's
 // pages at a time, so reuse across policies is safe).
+//
+// Every baseline is gated (sim.Gated): its OnAccess acts only on the
+// pages it traps with vm.AddressSpace.SetTrap. The hint-fault policies
+// trap a page exactly while it is armed (AutoNUMA, AutoTiering) or
+// while it is armed or its accessed flag is clear (TPP, Tiering-0.8);
+// the scanners (Nimble, MULTI-CLOCK) while the accessed flag is clear.
+// HeMem traps nothing and gates on its sampler; Static's OnAccess never
+// acts, so it traps nothing either.
 const (
 	flagArmed    = 1 << iota // hint fault armed (page unmapped for tracking)
 	flagAccessed             // accessed bit since last scan
@@ -367,6 +375,7 @@ func (r *Rearmer) Advance(b *Base, now uint64) int {
 			continue
 		}
 		pg.PFlags |= flagArmed
+		b.M.AS.SetTrap(pg, true)
 		r.carry -= float64(pg.Units())
 		armed++
 	}

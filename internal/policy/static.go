@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"memtis/internal/pebs"
 	"memtis/internal/sim"
 	"memtis/internal/tier"
 	"memtis/internal/vm"
@@ -20,6 +21,7 @@ type Static struct {
 }
 
 var _ sim.Policy = (*Static)(nil)
+var _ sim.Gated = (*Static)(nil)
 
 // NewStatic returns the fast-first, never-migrate policy.
 func NewStatic() *Static { return &Static{Pin: tier.NoTier, Label: "static"} }
@@ -35,6 +37,10 @@ func (s *Static) PlaceNew(huge bool, vpn uint64) tier.ID { return s.Pin }
 
 // OnAccess implements sim.Policy.
 func (s *Static) OnAccess(tr vm.TouchResult, vpn uint64, write bool) uint64 { return 0 }
+
+// AccessGate implements sim.Gated: OnAccess never acts, so no page is
+// ever trapped.
+func (s *Static) AccessGate() (*pebs.Sampler, bool) { return nil, true }
 
 // Capabilities implements sim.Policy: a pinned reference baseline
 // deliberately targets one tier regardless of free space and relies on

@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"memtis/internal/pebs"
 	"memtis/internal/sim"
 	"memtis/internal/tier"
 	"memtis/internal/vm"
@@ -29,6 +30,7 @@ type Tiering08 struct {
 }
 
 var _ sim.Policy = (*Tiering08)(nil)
+var _ sim.Gated = (*Tiering08)(nil)
 
 // NewTiering08 returns the Tiering-0.8 baseline.
 func NewTiering08() *Tiering08 {
@@ -49,9 +51,12 @@ func (t *Tiering08) OnAccess(tr vm.TouchResult, vpn uint64, write bool) uint64 {
 	if tr.Faulted {
 		t.Register(pg)
 		pg.P0 = now
+		// The accessed flag starts clear: trap the next access.
+		t.M.AS.SetTrap(pg, true)
 		return 0
 	}
 	pg.PFlags |= flagAccessed
+	t.M.AS.SetTrap(pg, false)
 	if pg.PFlags&flagArmed == 0 {
 		return 0
 	}
@@ -68,6 +73,10 @@ func (t *Tiering08) OnAccess(tr vm.TouchResult, vpn uint64, write bool) uint64 {
 	}
 	return stall
 }
+
+// AccessGate implements sim.Gated: OnAccess acts only on pages that
+// are armed or whose accessed flag is clear, which are trapped.
+func (t *Tiering08) AccessGate() (*pebs.Sampler, bool) { return nil, true }
 
 // Tick implements sim.Policy.
 func (t *Tiering08) Tick(now uint64) {
@@ -126,6 +135,7 @@ func (t *Tiering08) demote() {
 		}
 		if pg.PFlags&flagAccessed != 0 {
 			pg.PFlags &^= flagAccessed // second chance
+			t.M.AS.SetTrap(pg, true)
 			continue
 		}
 		t.MigrateAsync(pg, t.M.DemoteTarget(pg.Tier))

@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"memtis/internal/pebs"
 	"memtis/internal/sim"
 	"memtis/internal/tier"
 	"memtis/internal/vm"
@@ -24,6 +25,7 @@ type TPP struct {
 }
 
 var _ sim.Policy = (*TPP)(nil)
+var _ sim.Gated = (*TPP)(nil)
 
 // NewTPP returns the TPP baseline.
 func NewTPP() *TPP {
@@ -40,9 +42,12 @@ func (t *TPP) OnAccess(tr vm.TouchResult, vpn uint64, write bool) uint64 {
 	pg := tr.Page
 	if tr.Faulted {
 		t.Register(pg)
+		// The accessed flag starts clear: trap the next access.
+		t.M.AS.SetTrap(pg, true)
 		return 0
 	}
 	pg.PFlags |= flagAccessed
+	t.M.AS.SetTrap(pg, false)
 	if pg.PFlags&flagArmed == 0 {
 		return 0
 	}
@@ -58,6 +63,10 @@ func (t *TPP) OnAccess(tr vm.TouchResult, vpn uint64, write bool) uint64 {
 	}
 	return stall
 }
+
+// AccessGate implements sim.Gated: OnAccess acts only on pages that
+// are armed or whose accessed flag is clear, which are trapped.
+func (t *TPP) AccessGate() (*pebs.Sampler, bool) { return nil, true }
 
 // Tick implements sim.Policy.
 func (t *TPP) Tick(now uint64) {
@@ -92,6 +101,7 @@ func (t *TPP) demote() {
 		}
 		if pg.PFlags&flagAccessed != 0 {
 			pg.PFlags &^= flagAccessed
+			t.M.AS.SetTrap(pg, true)
 			continue
 		}
 		t.MigrateAsync(pg, t.M.DemoteTarget(pg.Tier))

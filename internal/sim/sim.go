@@ -12,6 +12,14 @@
 // kmigrated, scanners) consume modelled CPU time that is reported and —
 // when the application saturates every core, as the paper's 20-thread
 // runs do — converted into a contention slowdown of cores/(cores-used).
+//
+// The policy sees the accesses it acts on, not every access: under the
+// Gated contract the machine serves a mapped, untrapped access the
+// policy's sampler ignores without calling Policy.OnAccess, exactly as
+// the kernel serves an access that hits neither a hint-fault PROT_NONE
+// entry nor a cleared accessed bit without involving the tiering
+// policy. Simulated results are the same as calling OnAccess on every
+// access.
 package sim
 
 import (
@@ -26,11 +34,11 @@ import (
 )
 
 // Policy is a tiering system under test. Exactly one policy is attached
-// to a machine; it sees every access (for fault- and scan-based
-// tracking this doubles as the accessed-bit/page-fault stream — PEBS
-// policies feed their own sampler from it), is ticked on a fixed
-// virtual-time period for background work, and decides initial page
-// placement.
+// to a machine; it sees every access it has not declared ignorable
+// through Gated (for fault- and scan-based tracking this doubles as the
+// accessed-bit/page-fault stream — PEBS policies feed their own sampler
+// from it), is ticked on a fixed virtual-time period for background
+// work, and decides initial page placement.
 type Policy interface {
 	Name() string
 	// Attach binds the policy to the machine before the workload runs.
@@ -89,22 +97,31 @@ type HotSetReporter interface {
 	HotSet() (hotBytes, warmBytes, coldBytes uint64)
 }
 
-// FastSampled is implemented by policies whose OnAccess, on a
-// non-faulting access the PEBS sampler ignores, provably does nothing
-// and returns zero stall — the MEMTIS shape: feed the sampler, act
-// only on samples, run the period controller on its own schedule. For
-// such policies the machine serves non-sampled steady-state accesses
-// through the TouchFast/FeedFast bypass, skipping the TouchResult and
-// the OnAccess call entirely while keeping sample streams, adjustment
-// schedules and event traces byte-identical (pebs.Sampler.FeedFast
-// consumes an access only when neither a sample nor a controller run
-// is due, so the full path still sees exactly the accesses it would
-// have acted on).
-type FastSampled interface {
-	// SampleGate returns the sampler gating the bypass, or nil when a
-	// mode of the policy does per-access work (e.g. hybrid scanning)
-	// and must see every access.
-	SampleGate() *pebs.Sampler
+// Gated is the one access-path contract between the machine and a
+// policy. A gated policy promises that OnAccess does nothing and
+// returns zero on every access that is mapped and untrapped — no
+// demand fault, no trap set with vm.AddressSpace.SetTrap — and that
+// its sampler, if any, ignores (pebs.Sampler.FeedFast consumes it).
+// The machine serves such accesses without building a TouchResult or
+// calling OnAccess, in Access and in AccessBatch's unrolled loop
+// (TouchFast, and TouchFirstWrite for a subpage's first write), and
+// sends every other access down the full Touch → OnAccess path.
+// Policy-free machines take the same gate with no sampler.
+//
+// A policy keeps its promise by trapping a page exactly while its next
+// access must reach OnAccess — the simulator's hint-fault PROT_NONE
+// entry or cleared accessed bit (DESIGN.md §12) — and by gating on the
+// sampler whose samples it acts on. FeedFast consumes an access only
+// when neither a sample nor a controller run is due, so sample streams,
+// adjustment schedules and event traces are byte-identical to a run
+// that calls OnAccess on every access. A policy that does not
+// implement Gated (or returns ok=false) sees every access.
+type Gated interface {
+	// AccessGate returns the sampler gating the skip (nil: OnAccess
+	// ignores every mapped, untrapped access), or ok=false when a mode
+	// of the policy does per-access work (e.g. hybrid scanning) and
+	// must see every access.
+	AccessGate() (smp *pebs.Sampler, ok bool)
 }
 
 // Config describes the simulated machine.
@@ -227,10 +244,11 @@ type Machine struct {
 	Rand  *rand.Rand
 	reg   *obs.Registry
 
-	// fastSmp is the attached policy's sampler when it declared the
-	// FastSampled bypass (nil otherwise): the Access fast path that
-	// skips OnAccess for provably ignored accesses.
-	fastSmp *pebs.Sampler
+	// gated is set when the machine may skip OnAccess on the accesses
+	// the policy's Gated contract lets it ignore (always, without a
+	// policy); gateSmp is the policy's gating sampler, nil for none.
+	gated   bool
+	gateSmp *pebs.Sampler
 
 	// topo is Cfg.Topology (nil on the historical two-tier path); new
 	// address spaces inherit its hop-cost model.
@@ -380,11 +398,12 @@ func NewMachine(cfg Config, pol Policy) *Machine {
 	if pol != nil {
 		m.AS.SetPlacer(policyPlacer{pol})
 		pol.Attach(m)
-		if fs, ok := pol.(FastSampled); ok {
-			m.fastSmp = fs.SampleGate()
+		if g, ok := pol.(Gated); ok {
+			m.gateSmp, m.gated = g.AccessGate()
 		}
 	} else {
 		m.AS.SetPlacer(defaultPlacer{})
+		m.gated = true
 	}
 	return m
 }
@@ -693,26 +712,20 @@ func (m *Machine) deliverRecords() {
 // (fault injection, tick delivery, series sampling, RSS accounting)
 // hidden behind single predictable compares.
 func (m *Machine) Access(vpn uint64, write bool) {
-	// Policy-free machines (replay, capacity baselines, the raw-speed
-	// benchmark) never read tr.Page: TouchFast inlines here and resolves
-	// a steady-state access from one block-table or pte load, with no
-	// TouchResult built at all; only first writes and demand faults drop
-	// into the full TouchLite machinery.
+	// The gate (see Gated): a mapped, untrapped access the policy's
+	// sampler ignores skips the TouchResult and OnAccess. TouchFirstWrite
+	// serves a subpage's first write, setting its touched bits as Touch
+	// would. Everything else — faults, trapped pages, samples, ungated
+	// policies — takes the full Touch and OnAccess path; TouchFast and a
+	// refused FeedFast have no side effects, and Touch after
+	// TouchFirstWrite returns what it would have alone.
 	var tr vm.TouchResult
 	pol := m.Pol
-	if pol == nil {
-		if t, huge, ok := m.cur.TouchFast(vpn, write); ok {
-			tr.Tier, tr.Huge = t, huge
-		} else {
-			tr = m.cur.TouchLite(vpn, write)
-		}
-	} else if m.fastSmp == nil {
-		tr = m.cur.Touch(vpn, write)
-	} else if t, huge, ok := m.cur.TouchFast(vpn, write); ok && m.fastSmp.FeedFast(write, m.now) {
-		// FastSampled bypass: the access is mapped and steady-state
-		// (TouchFast had no side effects) and the sampler provably
-		// ignores it (FeedFast consumed it), so OnAccess would have
-		// done nothing and returned zero — skip it and the TouchResult.
+	t, huge, ok := m.cur.TouchFast(vpn, write)
+	if !ok && write && m.gated {
+		t, huge, ok = m.cur.TouchFirstWrite(vpn)
+	}
+	if ok && m.gated && (m.gateSmp == nil || m.gateSmp.FeedFast(write, m.now)) {
 		tr.Tier, tr.Huge = t, huge
 		pol = nil
 	} else {
@@ -793,16 +806,18 @@ type Op struct {
 // pre-generated accesses; a stream that frees or reserves ends its
 // batch first, so no mutation lands mid-batch.
 //
-// The inner loop is Access's FastSampled bypass unrolled across the
-// batch: one op costs a TouchFast, a FeedFast, a TLB probe and the
-// counter updates, with the call into Access (and its rare-path
-// branches) paid only by ops that fault, sample, or run under a fault
-// plan or observer. The operations and their order are identical to
-// Access's per op — the tenant_equiv goldens pin this.
+// The inner loop is Access's gate unrolled across the batch: one op
+// costs a TouchFast (plus a TouchFirstWrite for a subpage's first
+// write), a FeedFast when the policy gates on a sampler, a TLB probe
+// and the counter updates, with the call into Access (and its
+// rare-path branches) paid only by ops that fault, hit a trapped page,
+// sample, or run under an ungated policy, a fault plan or an observer.
+// The operations and their order are identical to Access's per op —
+// the tenant_equiv goldens pin this.
 func (m *Machine) AccessBatch(ops []Op) {
 	i := 0
 	for i < len(ops) {
-		if m.fastSmp != nil && m.faults == nil && m.AccessObserver == nil {
+		if m.gated && m.faults == nil && m.AccessObserver == nil {
 			// Batch-invariant fields and the hot counters live in
 			// locals, so the loop keeps them in registers across the
 			// (non-inlined) TLB probe instead of reloading the Machine
@@ -810,7 +825,7 @@ func (m *Machine) AccessBatch(ops []Op) {
 			// (scheduling is a batch boundary); the counters are
 			// flushed back before anything that can observe them —
 			// tick/record delivery and the Access fallback below.
-			cur, tag, smp, tl, multi := m.cur, m.curTag, m.fastSmp, m.TLB, m.multi
+			cur, tag, smp, tl, multi := m.cur, m.curTag, m.gateSmp, m.TLB, m.multi
 			ldp, stp := &m.loadNS, &m.storeNS
 			now, acc, fh := m.now, m.accesses, m.fastHits
 			// One fused boundary guards both tick and record delivery;
@@ -821,11 +836,14 @@ func (m *Machine) AccessBatch(ops []Op) {
 			}
 			for i < len(ops) {
 				vpn, write := ops[i].VPN, ops[i].Write
+				// Access's gate, over the register copies.
 				t, huge, ok := cur.TouchFast(vpn, write)
-				if !ok || !smp.FeedFast(write, now) {
-					// Not steady-state or the sampler wants it: replay
-					// through Access (TouchFast and a refused FeedFast
-					// are both side-effect-free, so the replay is exact).
+				if !ok && write {
+					t, huge, ok = cur.TouchFirstWrite(vpn)
+				}
+				if !ok || smp != nil && !smp.FeedFast(write, now) {
+					// Unmapped, trapped, or the sampler wants it: replay
+					// through Access, which is exact.
 					break
 				}
 				cost := tl.Access(vpn|tag, huge)

@@ -16,6 +16,7 @@ package vm
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"memtis/internal/obs"
@@ -60,12 +61,15 @@ const (
 // []pte, so the translation hot path reads 4 bytes per access instead
 // of chasing a *Page into a scattered heap object: the entry carries
 // everything Touch needs for an already-mapped, already-written access
-// (page-record index, huge bit, per-subpage touched bit, tier).
+// (page-record index, huge bit, per-subpage touched bit, tier, trap).
 //
 // Layout (low to high):
 //
-//	bits 0..25  page-record index + 1 into the space's arena; 0 means
+//	bits 0..24  page-record index + 1 into the space's arena; 0 means
 //	            the slot is unmapped (so a zeroed table is empty)
+//	bit  25     trap: the mapping's next access must reach the policy
+//	            (SetTrap); kept in pt for base pages and in the bt
+//	            entry only for huge mappings
 //	bit  26     huge: the slot belongs to a 2MB mapping (all 512 slots
 //	            of the block carry the same record index)
 //	bit  27     touched: this 4KB subpage has been written at least
@@ -76,8 +80,9 @@ const (
 type pte uint32
 
 const (
-	pteIdxBits   = 26
+	pteIdxBits   = 25
 	pteIdxMask   = 1<<pteIdxBits - 1
+	pteTrap      = 1 << 25
 	pteHuge      = 1 << 26
 	pteTouched   = 1 << 27
 	pteTierShift = 28
@@ -172,6 +177,8 @@ type Page struct {
 	arIdx uint32
 
 	dead bool
+	// trap mirrors the mapping's pte trap bit (SetTrap).
+	trap bool
 }
 
 // IsHuge reports whether the page is a 2MB huge page.
@@ -206,6 +213,10 @@ func (p *Page) SubHotness(j int) uint64 {
 	}
 	return uint64(p.SubCount[j]) * tier.SubPages
 }
+
+// Trapped reports whether the page's next access must reach the
+// policy (SetTrap).
+func (p *Page) Trapped() bool { return p.trap }
 
 // Touched reports whether subpage j has ever been written.
 func (p *Page) Touched(j int) bool {
@@ -288,8 +299,17 @@ type AddressSpace struct {
 	// pt is the packed page table: one pte per reserved base VPN. Its
 	// length may be trimmed below nextVPN when Free releases a trailing
 	// range (all entries past len(pt) are by construction unmapped);
-	// fault paths re-grow it on demand.
+	// fault paths re-grow it on demand. pt[len:cap] is kept zero, so
+	// growing within capacity is a reslice.
 	pt []pte
+	// zeroLo and zeroHi bound a run of slots known to be unmapped:
+	// pt[zeroLo:zeroHi), clipped to the table, is zero. Free's trim sets
+	// the run to the trimmed tail and skips it in one step the next
+	// time, and a fault mapping a slot inside the run shortens it. A
+	// reserve/free cycle at the end of the address space (603.bwaves'
+	// churn) thereby walks its own region, not the dead address space
+	// of every earlier cycle.
+	zeroLo, zeroHi uint64
 	// bt is the block table: one entry per 2MB block, non-zero exactly
 	// when the whole block is a single live huge mapping, holding that
 	// mapping's pte (sans touched bit). It is a 512x-compressed read
@@ -513,33 +533,32 @@ func (as *AddressSpace) Reserve(bytes uint64) Region {
 
 // ensurePT grows the page table (and the parallel block table) to
 // cover at least need entries, re-extending a table Free previously
-// trimmed (new entries are zero, i.e. unmapped).
+// trimmed. Both tables are zero past their lengths (Free trims only
+// unmapped slots), so the new entries are unmapped without clearing.
 func (as *AddressSpace) ensurePT(need int) {
 	if need > len(as.pt) {
-		if need <= cap(as.pt) {
-			tail := as.pt[len(as.pt):need]
-			for i := range tail {
-				tail[i] = 0
-			}
-			as.pt = as.pt[:need]
-		} else {
-			nt := make([]pte, need+need/2+tier.SubPages)
+		if need > cap(as.pt) {
+			nt := make([]pte, len(as.pt), need+need/2+tier.SubPages)
 			copy(nt, as.pt)
-			as.pt = nt[:need]
+			as.pt = nt
 		}
+		as.pt = as.pt[:need]
 	}
 	if nb := (len(as.pt) + tier.SubPages - 1) / tier.SubPages; nb > len(as.bt) {
-		if nb <= cap(as.bt) {
-			tail := as.bt[len(as.bt):nb]
-			for i := range tail {
-				tail[i] = 0
-			}
-			as.bt = as.bt[:nb]
-		} else {
-			nt := make([]pte, nb+nb/2+1)
+		if nb > cap(as.bt) {
+			nt := make([]pte, len(as.bt), nb+nb/2+1)
 			copy(nt, as.bt)
-			as.bt = nt[:nb]
+			as.bt = nt
 		}
+		as.bt = as.bt[:nb]
+	}
+}
+
+// noteMapped shortens the known-unmapped run (zeroLo, zeroHi) so it
+// excludes the slots [vpn, vpn+n) a fault is about to map.
+func (as *AddressSpace) noteMapped(vpn, n uint64) {
+	if vpn < as.zeroHi && vpn+n > as.zeroLo {
+		as.zeroHi = max(vpn, as.zeroLo)
 	}
 }
 
@@ -554,7 +573,7 @@ func (as *AddressSpace) pageAt(e pte) *Page {
 // and rely on Dead() — a recycled record would alias a live page.
 func (as *AddressSpace) newPage() *Page {
 	if as.nAlloc >= pteIdxMask {
-		panic("vm: page-record arena exhausted the pte's 26 index bits")
+		panic("vm: page-record arena exhausted the pte's 25 index bits")
 	}
 	ci, slot := arenaLoc(as.nAlloc)
 	if ci == len(as.chunks) {
@@ -566,12 +585,27 @@ func (as *AddressSpace) newPage() *Page {
 	return pg
 }
 
-// pteFor builds the table entry mapping a vpn to pg (without the
-// touched bit, which tracks per-slot write state).
+// pteFor builds the pt entry mapping a vpn to pg (without the touched
+// bit, which tracks per-slot write state). A huge mapping's trap lives
+// in its block-table entry only (bteFor), so flipping it writes one
+// entry instead of 512.
 func pteFor(pg *Page) pte {
 	e := pte(pg.arIdx+1) | pte(pg.Tier)<<pteTierShift
 	if pg.Kind == HugePage {
-		e |= pteHuge
+		return e | pteHuge
+	}
+	if pg.trap {
+		e |= pteTrap
+	}
+	return e
+}
+
+// bteFor builds the block-table entry of a huge page: its pt entry
+// plus the trap bit.
+func bteFor(pg *Page) pte {
+	e := pteFor(pg)
+	if pg.trap {
+		e |= pteTrap
 	}
 	return e
 }
@@ -585,8 +619,33 @@ func (as *AddressSpace) setTierPTE(p *Page) {
 		as.pt[i] = as.pt[i]&^pteTierMask | nt
 	}
 	if p.IsHuge() {
-		as.bt[p.VPN/tier.SubPages] = pteFor(p)
+		as.bt[p.VPN/tier.SubPages] = bteFor(p)
 	}
+}
+
+// SetTrap sets or clears p's trap: while it is set, TouchFast declines
+// every access to the page, so a gated machine routes the access
+// through the full Touch and Policy.OnAccess path (sim.Gated). It is
+// the simulator's hint-fault PROT_NONE entry, or a cleared accessed
+// bit: a policy traps a page exactly when its next access must reach
+// OnAccess. The trap survives migration and is dropped with the
+// mapping (split, collapse and free create or kill records). Like
+// MigrateTx it may be called through any space handle: the owner's
+// table is updated. A dead page's table slots are not touched.
+func (as *AddressSpace) SetTrap(p *Page, on bool) {
+	if p.trap == on {
+		return
+	}
+	p.trap = on
+	if p.dead {
+		return
+	}
+	ow := as.ownerOf(p)
+	if p.IsHuge() {
+		ow.bt[p.VPN/tier.SubPages] ^= pteTrap
+		return
+	}
+	ow.pt[p.VPN] ^= pteTrap
 }
 
 // Lookup returns the page mapping vpn, or nil when unmapped.
@@ -667,8 +726,10 @@ func (as *AddressSpace) placeFor(huge bool, vpn uint64) tier.ID {
 // eligible) and returns the mapping plus any fault cost. Write touches
 // mark the subpage as non-zero for later bloat reclaim.
 //
-// The already-mapped case is the simulator's hot path: one bounds
-// check and one 4-byte pte load yield tier, huge bit and touched state;
+// Touch ignores the trap bit: it is the full path a trapped access
+// takes to the policy. Its already-mapped case serves those, sampled
+// accesses and ungated policies: one bounds check and one 4-byte pte
+// load yield tier, huge bit and touched state;
 // the page record is located by arithmetic (chunk index) but its memory
 // is not read, so steady-state accesses touch exactly one table cache
 // line. Only the first write to a subpage dirties the record (its
@@ -705,28 +766,61 @@ func (as *AddressSpace) Touch(vpn uint64, write bool) TouchResult {
 // block table alone: one load from a 512x-compressed, L1-resident
 // table, where the full pt working set would thrash the cache.
 // Writes (which need the per-subpage touched bit) and base-page
-// traffic read the packed pte instead. ok=false means the access
-// needs the slow path (first write to a subpage, or a demand fault);
-// the caller must then call TouchLite.
+// traffic read the packed pte instead; a huge mapping's write checks
+// its block-table entry first, which holds the mapping's trap bit.
+// ok=false means the access needs the slow path (a trapped page, the
+// first write to a subpage, or a demand fault); the caller must then
+// call Touch or TouchLite.
 func (as *AddressSpace) TouchFast(vpn uint64, write bool) (t tier.ID, huge, ok bool) {
-	if b := vpn / tier.SubPages; !write && b < uint64(len(as.bt)) {
-		if e := as.bt[b]; e != 0 {
-			return tier.ID(e >> pteTierShift), true, true
-		}
+	var e pte
+	if b := vpn / tier.SubPages; b < uint64(len(as.bt)) {
+		e = as.bt[b]
 	}
-	if vpn < uint64(len(as.pt)) {
-		if e := as.pt[vpn]; e != 0 && (!write || e&pteTouched != 0) {
-			return tier.ID(e >> pteTierShift), e&pteHuge != 0, true
+	if e == 0 || write {
+		if vpn >= uint64(len(as.pt)) {
+			return 0, false, false
 		}
+		// A huge mapping's pt slot agrees with its bt entry but for the
+		// trap (bt only) and touched (pt only) bits, so the union holds
+		// both.
+		e |= as.pt[vpn]
 	}
-	return 0, false, false
+	if e == 0 || e&pteTrap != 0 || write && e&pteTouched == 0 {
+		return 0, false, false
+	}
+	return tier.ID(e >> pteTierShift), e&pteHuge != 0, true
+}
+
+// TouchFirstWrite serves the first write to a mapped, untrapped
+// subpage, the steady-state access TouchFast declines because it has a
+// side effect: it sets the subpage's touched bits (pte and record)
+// exactly as Touch would, and returns what TouchFast returns for every
+// later write. ok=false means an unmapped or trapped slot, and nothing
+// changed. Calling Touch after it returns the same TouchResult Touch
+// alone would have.
+func (as *AddressSpace) TouchFirstWrite(vpn uint64) (t tier.ID, huge, ok bool) {
+	if vpn >= uint64(len(as.pt)) {
+		return 0, false, false
+	}
+	e := as.pt[vpn]
+	if e == 0 || e&pteTrap != 0 || e&pteHuge != 0 && as.bt[vpn/tier.SubPages]&pteTrap != 0 {
+		return 0, false, false
+	}
+	if e&pteTouched == 0 {
+		as.pt[vpn] = e | pteTouched
+		sub := 0
+		if e&pteHuge != 0 {
+			sub = int(vpn & (tier.SubPages - 1))
+		}
+		as.pageAt(e).markTouched(sub)
+	}
+	return tier.ID(e >> pteTierShift), e&pteHuge != 0, true
 }
 
 // TouchLite is Touch for callers that do not consume TouchResult.Page
-// (machines running without a policy: replay and capacity baselines).
-// The page record is neither read nor located on the fast paths; the
-// slow paths fall through to the full Touch machinery and do populate
-// Page.
+// and keep no policy, so no page is trapped. The page record is
+// neither read nor located on the fast paths; the slow paths fall
+// through to the full Touch machinery and do populate Page.
 func (as *AddressSpace) TouchLite(vpn uint64, write bool) TouchResult {
 	if t, huge, ok := as.TouchFast(vpn, write); ok {
 		return TouchResult{Tier: t, Huge: huge}
@@ -801,11 +895,12 @@ func (as *AddressSpace) mapHuge(baseVPN uint64) *Page {
 	pg := as.newPage()
 	pg.VPN, pg.Kind, pg.Tier, pg.Frame, pg.Owner = baseVPN, HugePage, id, f, as.Tenant
 	as.ensurePT(int(baseVPN + tier.SubPages))
+	as.noteMapped(baseVPN, tier.SubPages)
 	e := pteFor(pg)
 	for i := uint64(0); i < tier.SubPages; i++ {
 		as.pt[baseVPN+i] = e
 	}
-	as.bt[baseVPN/tier.SubPages] = e
+	as.bt[baseVPN/tier.SubPages] = bteFor(pg)
 	as.nPages++
 	as.residentUnits += tier.SubPages
 	if id == tier.FastTier {
@@ -827,6 +922,7 @@ func (as *AddressSpace) mapBase(vpn uint64) *Page {
 	pg := as.newPage()
 	pg.VPN, pg.Kind, pg.Tier, pg.Frame, pg.Owner = vpn, BasePage, id, f, as.Tenant
 	as.ensurePT(int(vpn + 1))
+	as.noteMapped(vpn, 1)
 	as.pt[vpn] = pteFor(pg)
 	as.nPages++
 	as.residentUnits++
@@ -1128,7 +1224,7 @@ func (as *AddressSpace) Collapse(baseVPN uint64, dst tier.ID) (hp *Page, ns uint
 		as.pt[baseVPN+uint64(j)] = he
 		as.nPages--
 	}
-	as.bt[baseVPN/tier.SubPages] = pteFor(hp)
+	as.bt[baseVPN/tier.SubPages] = bteFor(hp)
 	as.nPages++
 	as.fastUnits -= fastOlds
 	if dst == tier.FastTier {
@@ -1146,9 +1242,10 @@ func (as *AddressSpace) Collapse(baseVPN uint64, dst tier.ID) (hp *Page, ns uint
 //
 // Freeing a trailing range shrinks the page table: the all-unmapped
 // tail is trimmed so background walkers don't cycle over dead address
-// space forever (fault paths re-grow the table on demand). The trim is
-// invisible to iteration semantics — every walker treats an unmapped
-// slot and an out-of-range slot identically.
+// space forever (fault paths re-grow the table on demand). The trimmed
+// length is always just past the last mapped slot; the trim skips the
+// run of slots the previous trim already found unmapped, so its cost
+// is the freed region's, not the dead address space's.
 func (as *AddressSpace) Free(r Region) {
 	end := r.BaseVPN + r.Pages
 	if n := uint64(len(as.pt)); end > n {
@@ -1183,11 +1280,16 @@ func (as *AddressSpace) Free(r Region) {
 		pg.dead = true
 		as.nPages--
 	}
-	n := len(as.pt)
+	n := uint64(len(as.pt))
 	for n > 0 && as.pt[n-1] == 0 {
+		if n > as.zeroLo && n <= as.zeroHi {
+			n = as.zeroLo // pt[zeroLo:n) is known unmapped
+			continue
+		}
 		n--
 	}
 	as.pt = as.pt[:n]
+	as.zeroLo, as.zeroHi = n, math.MaxUint64
 	// The trimmed blocks are all-unmapped, so their bt entries are
 	// already zero; only the length needs to follow.
 	as.bt = as.bt[:(n+tier.SubPages-1)/tier.SubPages]
@@ -1408,6 +1510,12 @@ func (as *AddressSpace) auditMapped(owner map[tier.PhysAddr]uint64) ([]uint64, e
 			return nil, fmt.Errorf("vm: pte at vpn %d touched bit set but page %d subpage %d is clean",
 				vpn, pg.VPN, off)
 		}
+		// A huge mapping's trap lives in its block-table entry only
+		// (checked below against the record); a base page's in its pte.
+		if want := pg.trap && !pg.IsHuge(); (e&pteTrap != 0) != want {
+			return nil, fmt.Errorf("vm: pte at vpn %d trap bit disagrees with page %d (trapped %v)",
+				vpn, pg.VPN, pg.trap)
+		}
 		if mapped[pg] == 0 {
 			// First sighting: account frames and check uniqueness.
 			if pg.Tier < 0 || int(pg.Tier) >= len(as.tiers) {
@@ -1415,7 +1523,7 @@ func (as *AddressSpace) auditMapped(owner map[tier.PhysAddr]uint64) ([]uint64, e
 			}
 			if pg.IsHuge() {
 				b := pg.VPN / tier.SubPages
-				if b >= uint64(len(as.bt)) || as.bt[b] != pteFor(pg) {
+				if b >= uint64(len(as.bt)) || as.bt[b] != bteFor(pg) {
 					return nil, fmt.Errorf("vm: huge page %d missing or stale in the block table", pg.VPN)
 				}
 			}
@@ -1444,8 +1552,26 @@ func (as *AddressSpace) auditMapped(owner map[tier.PhysAddr]uint64) ([]uint64, e
 			continue
 		}
 		base := uint64(b) * tier.SubPages
-		if e&pteHuge == 0 || base >= uint64(len(as.pt)) || as.pt[base]&^pteTouched != e {
+		if e&pteHuge == 0 || base >= uint64(len(as.pt)) || as.pt[base]&^pteTouched != e&^pteTrap {
 			return nil, fmt.Errorf("vm: block table entry %d is stale (pte %#x)", b, e)
+		}
+	}
+	// Past their lengths both tables are zero: ensurePT re-extends them
+	// by reslicing, without clearing.
+	for i, e := range as.pt[len(as.pt):cap(as.pt)] {
+		if e != 0 {
+			return nil, fmt.Errorf("vm: pte %#x beyond the table's end at vpn %d", e, len(as.pt)+i)
+		}
+	}
+	for i, e := range as.bt[len(as.bt):cap(as.bt)] {
+		if e != 0 {
+			return nil, fmt.Errorf("vm: block table entry %#x beyond the table's end at block %d", e, len(as.bt)+i)
+		}
+	}
+	for vpn := as.zeroLo; vpn < min(as.zeroHi, uint64(len(as.pt))); vpn++ {
+		if as.pt[vpn] != 0 {
+			return nil, fmt.Errorf("vm: vpn %d mapped inside the known-unmapped run [%d, %d)",
+				vpn, as.zeroLo, as.zeroHi)
 		}
 	}
 	var total uint64

@@ -12,9 +12,8 @@ var stepSink uint64
 
 // drawsPerMachine is how many draws one initialised machine serves, the
 // order of a Figure 5 cell's budget. 603.bwaves' stepper reserves and
-// frees a buffer every 1024 draws, and the address space's cost per
-// cycle grows with the cycles run, so without a bound its ns/op would
-// depend on b.N.
+// frees a buffer every 1024 draws, and each reservation takes fresh
+// address space, so without a bound the page table would grow with b.N.
 const drawsPerMachine = 1 << 18
 
 // BenchmarkStepper measures each model's steady-phase stream alone,

@@ -445,23 +445,22 @@ func (c *ctx) pick(num, den uint32) bool { return c.rng.Uint32()%den < num }
 
 // smallStepper returns a stepper over the small regions with uniform
 // access, used as a low-intensity side channel in several benchmarks.
+// rs is reserveSmall's output: equal chunks but for a shorter last one,
+// so the region holding the i-th page of their concatenation is found
+// by one division.
 func smallStepper(c *ctx, rs []region) stepper {
 	if len(rs) == 0 {
 		return func() (uint64, bool) { return 0, false }
 	}
+	chunk, last := rs[0].pages, uint64(len(rs)-1)
 	var total uint64
 	for _, r := range rs {
 		total += r.pages
 	}
 	return func() (uint64, bool) {
 		i := c.rng.Uint64() % total
-		for _, r := range rs {
-			if i < r.pages {
-				return r.r.BaseVPN + i, c.pick(1, 4)
-			}
-			i -= r.pages
-		}
-		return rs[0].r.BaseVPN, false
+		k := min(i/chunk, last)
+		return rs[k].r.BaseVPN + i - k*chunk, c.pick(1, 4)
 	}
 }
 
