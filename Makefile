@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build docs test race fuzz bench benchdry figures clean
+.PHONY: check fmt vet build docs test race fuzz bench benchdry figures figures-check clean
 
 check: fmt vet build docs test
 
@@ -74,6 +74,13 @@ benchdry:
 
 figures:
 	$(GO) run ./cmd/paperfigs -accesses 4000000 -out results
+
+# results/ is the committed output of `make figures`: regenerate it into
+# a temporary directory and fail on any byte of difference.
+figures-check:
+	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) run ./cmd/paperfigs -quiet -accesses 4000000 -out "$$tmp" && \
+	diff -r results "$$tmp"
 
 clean:
 	rm -rf results

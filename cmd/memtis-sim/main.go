@@ -491,9 +491,8 @@ func runScenarioSingle(cfg bench.Config, path, pname, ratio, series, traceOut st
 // like the workload matrix.
 func runScenarioMatrix(cfg bench.Config, slist, plist, rlist string, workers int) {
 	var (
-		scs   []*scenario.Runner
-		names []string
-		seen  = map[string]bool{}
+		scs  []*scenario.Runner
+		seen = map[string]bool{}
 	)
 	for _, f := range split(slist) {
 		sc := compileScenario(f)
@@ -503,7 +502,6 @@ func runScenarioMatrix(cfg bench.Config, slist, plist, rlist string, workers int
 		}
 		seen[sc.Name()] = true
 		scs = append(scs, sc)
-		names = append(names, sc.Name())
 	}
 	var ratios []bench.Ratio
 	for _, rn := range split(rlist) {
@@ -521,7 +519,7 @@ func runScenarioMatrix(cfg bench.Config, slist, plist, rlist string, workers int
 	defer stop()
 	runner := bench.Parallel(workers)
 	runner.Progress = matrixProgress
-	m, err := runner.RunScenarioMatrix(ctx, cfg, scs, ratios, pols)
+	_, t, err := runner.RunScenarioMatrix(ctx, cfg, scs, ratios, pols)
 	if err != nil {
 		var ce *bench.Cancelled
 		if errors.As(err, &ce) {
@@ -531,9 +529,7 @@ func runScenarioMatrix(cfg bench.Config, slist, plist, rlist string, workers int
 		fmt.Fprintln(os.Stderr, "\nmemtis-sim:", err)
 		os.Exit(1)
 	}
-	title := fmt.Sprintf("normalized performance (capacity tier: %s, seed %d, %d accesses/cell)",
-		cfg.CapKind, cfg.Seed, cfg.Accesses)
-	fmt.Print(bench.MatrixTable(title, m, names, ratios, pols).String())
+	fmt.Print(t.String())
 }
 
 // parseRatio resolves one ratio name or exits with a usage error.
@@ -613,7 +609,7 @@ func runMatrix(cfg bench.Config, wlist, plist, rlist string, workers int) {
 	defer stop()
 	runner := bench.Parallel(workers)
 	runner.Progress = matrixProgress
-	m, err := runner.RunMatrix(ctx, cfg, workloads, ratios, pols)
+	_, t, err := runner.RunMatrix(ctx, cfg, workloads, ratios, pols)
 	if err != nil {
 		var ce *bench.Cancelled
 		if errors.As(err, &ce) {
@@ -623,9 +619,7 @@ func runMatrix(cfg bench.Config, wlist, plist, rlist string, workers int) {
 		fmt.Fprintln(os.Stderr, "\nmemtis-sim:", err)
 		os.Exit(1)
 	}
-	title := fmt.Sprintf("normalized performance (capacity tier: %s, seed %d, %d accesses/cell)",
-		cfg.CapKind, cfg.Seed, cfg.Accesses)
-	fmt.Print(bench.MatrixTable(title, m, workloads, ratios, pols).String())
+	fmt.Print(t.String())
 }
 
 func mb(b uint64) float64 { return float64(b) / (1 << 20) }

@@ -2,10 +2,11 @@
 // evaluation section (see DESIGN.md §3 for the experiment index) and
 // writes both aligned-text and CSV outputs into a results directory.
 //
-// The matrix-shaped experiments (fig5, fig6, fig7, fig8, fig14) fan
-// their cells out to a worker pool with deterministic per-cell seeds
-// (DESIGN.md §4 "Reproducibility & parallelism"): -parallel changes
-// wall-clock time only, never a single output byte.
+// The matrix-shaped experiments (fig5-fig8, fig10, fig13, fig14 and
+// the three sweeps) fan their cells out to a worker pool with
+// deterministic per-cell seeds (DESIGN.md §4 "Reproducibility &
+// parallelism"): -parallel changes wall-clock time only, never a
+// single output byte.
 //
 // Usage:
 //
@@ -77,6 +78,17 @@ func main() {
 	seqTable := func(f func() bench.Table) func() (bench.Table, error) {
 		return func() (bench.Table, error) { return f(), nil }
 	}
+	// counted runs a Runner fan-out and dumps its per-cell counters
+	// next to the table.
+	counted := func(name string, run func() (*bench.Matrix, bench.Table, error)) job {
+		return job{name, func() (bench.Table, error) {
+			m, t, err := run()
+			if err == nil {
+				writeCounters(*out, name, m)
+			}
+			return t, err
+		}}
+	}
 	jobs := []job{
 		{"table1", seqTable(func() bench.Table { return bench.Table1() })},
 		{"fig1", seqTable(func() bench.Table { _, t := bench.Fig1(cfg); return t })},
@@ -110,27 +122,9 @@ func main() {
 			writeCounters(*out, "fig5", m)
 			return t, nil
 		}},
-		{"fig6", func() (bench.Table, error) {
-			m, t, err := runner.Fig6(ctx, cfg, nil)
-			if err == nil {
-				writeCounters(*out, "fig6", m)
-			}
-			return t, err
-		}},
-		{"fig7", func() (bench.Table, error) {
-			m, t, err := runner.Fig7(ctx, cfg)
-			if err == nil {
-				writeCounters(*out, "fig7", m)
-			}
-			return t, err
-		}},
-		{"fig8", func() (bench.Table, error) {
-			m, t, err := runner.Fig8(ctx, cfg)
-			if err == nil {
-				writeCounters(*out, "fig8", m)
-			}
-			return t, err
-		}},
+		counted("fig6", func() (*bench.Matrix, bench.Table, error) { return runner.Fig6(ctx, cfg, nil) }),
+		counted("fig7", func() (*bench.Matrix, bench.Table, error) { return runner.Fig7(ctx, cfg) }),
+		counted("fig8", func() (*bench.Matrix, bench.Table, error) { return runner.Fig8(ctx, cfg) }),
 		{"fig9", seqTable(func() bench.Table {
 			series, t := bench.Fig9(cfg)
 			var plots strings.Builder
@@ -143,7 +137,7 @@ func main() {
 			mustWrite(filepath.Join(*out, "fig9.plot.txt"), plots.String())
 			return t
 		})},
-		{"fig10", seqTable(func() bench.Table { _, t := bench.Fig10(cfg); return t })},
+		{"fig10", func() (bench.Table, error) { _, t, err := runner.Fig10(ctx, cfg); return t, err }},
 		{"fig11", seqTable(func() bench.Table {
 			series, t := bench.Fig11(cfg)
 			var plots strings.Builder
@@ -172,89 +166,56 @@ func main() {
 			return t
 		})},
 		{"fig12", seqTable(func() bench.Table { _, t := bench.Fig12(cfg); return t })},
-		{"fig13", seqTable(func() bench.Table { _, t := bench.Fig13(cfg); return t })},
-		{"fig14", func() (bench.Table, error) {
-			m, t, err := runner.Fig14(ctx, cfg)
-			if err == nil {
-				writeCounters(*out, "fig14", m)
-			}
-			return t, err
-		}},
+		{"fig13", func() (bench.Table, error) { _, t, err := runner.Fig13(ctx, cfg); return t, err }},
+		counted("fig14", func() (*bench.Matrix, bench.Table, error) { return runner.Fig14(ctx, cfg) }),
 		{"overhead", seqTable(func() bench.Table { _, t := bench.Overhead(cfg); return t })},
-		{"scenarios", func() (bench.Table, error) {
+		counted("scenarios", func() (*bench.Matrix, bench.Table, error) {
 			// Additive: declarative scenario specs (-scenarios) through
 			// the Figure 5 policy/ratio matrix. Never selected unless the
 			// flag names at least one spec file, so the paper figures are
 			// byte-identical with or without it.
-			var (
-				scs   []*scenario.Runner
-				names []string
-			)
+			var scs []*scenario.Runner
 			for _, f := range strings.Split(*scens, ",") {
 				if f = strings.TrimSpace(f); f == "" {
 					continue
 				}
 				spec, err := scenario.DecodeFile(f)
 				if err != nil {
-					return bench.Table{}, err
+					return nil, bench.Table{}, err
 				}
 				sc, err := scenario.Compile(spec, scenario.Options{Dir: filepath.Dir(f)})
 				if err != nil {
-					return bench.Table{}, err
+					return nil, bench.Table{}, err
 				}
 				scs = append(scs, sc)
-				names = append(names, sc.Name())
 			}
-			m, err := runner.RunScenarioMatrix(ctx, cfg, scs, bench.MainRatios, bench.Policies)
-			if err != nil {
-				return bench.Table{}, err
-			}
-			writeCounters(*out, "scenarios", m)
-			title := fmt.Sprintf("scenarios: normalized performance (vs all-%s, seed %d, %d accesses/cell)",
+			m, t, err := runner.RunScenarioMatrix(ctx, cfg, scs, bench.MainRatios, bench.Policies)
+			t.Title = fmt.Sprintf("scenarios: normalized performance (vs all-%s, seed %d, %d accesses/cell)",
 				cfg.CapKind, cfg.Seed, cfg.Accesses)
-			return bench.MatrixTable(title, m, names, bench.MainRatios, bench.Policies), nil
-		}},
-		{"tenantsweep", func() (bench.Table, error) {
-			// The tenant-count x skew x churn fairness matrix
-			// (EXPERIMENTS.md "Tenant sweep"): every cell normalised to
-			// the same policy's single-tenant run, so the sweep isolates
-			// the cost of multi-tenant contention and QoS arbitration.
-			m, err := runner.TenantSweep(ctx, cfg, bench.Ratio1to8, nil, nil)
-			if err != nil {
-				return bench.Table{}, err
-			}
-			writeCounters(*out, "tenantsweep", m)
-			title := fmt.Sprintf("tenant sweep: 1:8 throughput vs tenant count/skew/churn (normalised to each policy's single-tenant run, seed %d)", cfg.Seed)
-			return bench.TenantSweepTable(title, m, bench.Ratio1to8, nil, nil), nil
-		}},
-		{"depthsweep", func() (bench.Table, error) {
-			// The tier-depth x admission x fault-rate matrix
-			// (EXPERIMENTS.md "Depth sweep"): every cell runs on the
-			// hierarchy bench.TopologyForDepth derives for its depth with
-			// the background mover on, normalised to the same policy's
-			// (first depth, first admission, fault-free) reference cell.
+			return m, t, err
+		}),
+		// The tenant-count x skew x churn fairness matrix
+		// (EXPERIMENTS.md "Tenant sweep"): every cell normalised to the
+		// same policy's single-tenant run.
+		counted("tenantsweep", func() (*bench.Matrix, bench.Table, error) {
+			return runner.TenantSweep(ctx, cfg, bench.Ratio1to8, nil, nil)
+		}),
+		// The tier-depth x admission x fault-rate matrix (EXPERIMENTS.md
+		// "Depth sweep"): every cell runs on the hierarchy
+		// bench.TopologyForDepth derives for its depth with the
+		// background mover on, normalised to the same policy's (first
+		// depth, first admission, fault-free) reference cell.
+		counted("depthsweep", func() (*bench.Matrix, bench.Table, error) {
 			dcfg := cfg
 			dcfg.Mover = tier.MoverConfig{BytesPerWindow: 8 << 20}
-			m, err := runner.DepthSweep(ctx, dcfg, "silo", bench.Ratio1to8, nil, nil, nil, nil)
-			if err != nil {
-				return bench.Table{}, err
-			}
-			writeCounters(*out, "depthsweep", m)
-			title := fmt.Sprintf("depth sweep: silo 1:8 throughput vs hierarchy depth/admission/fault rate (normalised to each policy's depth-2 always-admit fault-free run, seed %d)", cfg.Seed)
-			return bench.DepthSweepTable(title, m, "silo", bench.Ratio1to8, nil, nil, nil, nil), nil
-		}},
-		{"faultsweep", func() (bench.Table, error) {
-			// The fault-rate x policy degradation matrix (EXPERIMENTS.md
-			// "Fault sweep"): every cell normalised to the same policy's
-			// fault-free run, so the sweep isolates fault sensitivity.
-			m, err := runner.FaultSweep(ctx, cfg, "silo", bench.Ratio1to8, nil, nil)
-			if err != nil {
-				return bench.Table{}, err
-			}
-			writeCounters(*out, "faultsweep", m)
-			title := fmt.Sprintf("fault sweep: silo 1:8 throughput vs copy-abort rate (normalised to each policy's fault-free run, seed %d)", cfg.Seed)
-			return bench.FaultSweepTable(title, m, "silo", bench.Ratio1to8, nil, nil), nil
-		}},
+			return runner.DepthSweep(ctx, dcfg, "silo", bench.Ratio1to8, nil, nil, nil, nil)
+		}),
+		// The fault-rate x policy degradation matrix (EXPERIMENTS.md
+		// "Fault sweep"): every cell normalised to the same policy's
+		// fault-free run.
+		counted("faultsweep", func() (*bench.Matrix, bench.Table, error) {
+			return runner.FaultSweep(ctx, cfg, "silo", bench.Ratio1to8, nil, nil)
+		}),
 	}
 
 	var summary strings.Builder

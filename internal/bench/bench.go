@@ -49,13 +49,15 @@ type Config struct {
 	RecordNS uint64    // time-series sampling (0 = off)
 
 	// Trace attaches an event tracer to single runs (RunOne,
-	// RunBaseline, RunAllFast). Matrix runners ignore it — a tracer
-	// serves exactly one machine, so sharing one across parallel cells
-	// would interleave streams; set EventDir instead.
+	// RunBaseline, RunAllFast, RunTenants, RunScenario). Runner fan-outs
+	// ignore it — a tracer serves exactly one machine, so sharing one
+	// across parallel cells would interleave streams; set EventDir
+	// instead.
 	Trace *obs.Tracer
-	// EventDir, when non-empty, makes RunMatrix write one JSONL event
-	// trace per cell into this directory (created if missing), named
-	// <workload>_<ratio>_<policy>.events.jsonl with ':' spelled "to".
+	// EventDir, when non-empty, makes every Runner fan-out write one
+	// JSONL event trace per cell into this directory (created if
+	// missing), named <workload>_<coord>_<policy>.events.jsonl after
+	// the cell's seed coordinates, with ':' spelled "to".
 	EventDir string
 
 	// Faults is the fault-injection schedule applied to every machine
@@ -161,14 +163,34 @@ func MachineFor(spec workload.Spec, r Ratio, polName string, cfg Config) sim.Con
 			fast /= 2
 		}
 	}
-	if fast < tier.HugePageSize*2 {
-		fast = tier.HugePageSize * 2
-	}
+	return machine(max(fast, minFast), capacityFor(rss), true, cfg)
+}
+
+// minFast is the smallest tier the harness builds: two huge frames.
+const minFast = 2 * tier.HugePageSize
+
+// allCapacity is the baseline machine's ratio: a zero fast fraction
+// floors the fast tier at minFast, so (all but) the whole resident
+// set lives in the capacity tier.
+var allCapacity = Ratio{"baseline", 0}
+
+// fastFor sizes the fast tier for a resident set at a tiering ratio.
+func fastFor(rss uint64, r Ratio) uint64 {
+	return max(uint64(float64(rss)*r.FastFrac), minFast)
+}
+
+// capacityFor sizes the tier that holds a whole resident set: all of
+// it plus a quarter and sixteen huge frames of head-room.
+func capacityFor(rss uint64) uint64 { return rss + rss/4 + 16*tier.HugePageSize }
+
+// machine builds every harness machine but Figure 1's fixed DAMON box:
+// the given tier sizes and THP setting, everything else from cfg.
+func machine(fast, capBytes uint64, thp bool, cfg Config) sim.Config {
 	return sim.Config{
 		FastBytes: fast,
-		CapBytes:  rss + rss/4 + 16*tier.HugePageSize,
+		CapBytes:  capBytes,
 		CapKind:   cfg.CapKind,
-		THP:       true,
+		THP:       thp,
 		Threads:   cfg.Threads,
 		Seed:      cfg.Seed,
 		RecordNS:  cfg.RecordNS,
@@ -188,44 +210,18 @@ func RunOne(wname, polName string, r Ratio, cfg Config) sim.Result {
 }
 
 // RunBaseline executes the all-capacity-tier (THP) run that every
-// figure normalises against.
+// figure normalises against. Baselines record no time series.
 func RunBaseline(wname string, cfg Config) sim.Result {
-	w := workload.MustNew(wname)
-	rss := w.Spec().RSSBytes()
-	mc := sim.Config{
-		FastBytes: tier.HugePageSize * 2, // minimal, unused
-		CapBytes:  rss + rss/4 + 16*tier.HugePageSize,
-		CapKind:   cfg.CapKind,
-		THP:       true,
-		Threads:   cfg.Threads,
-		Seed:      cfg.Seed,
-		Trace:     cfg.Trace,
-		Faults:    cfg.Faults,
-		Topology:  cfg.Topology,
-		Admission: cfg.Admission,
-		Mover:     cfg.Mover,
-	}
-	return sim.Run(mc, NewPolicy("all-capacity"), w, cfg.Accesses)
+	cfg.RecordNS = 0
+	return RunOne(wname, "all-capacity", allCapacity, cfg)
 }
 
 // RunAllFast executes the all-DRAM reference (fast tier holds the whole
 // resident set) with or without THP (Figure 7's dashed lines).
 func RunAllFast(wname string, thp bool, cfg Config) sim.Result {
 	w := workload.MustNew(wname)
-	rss := w.Spec().RSSBytes()
-	mc := sim.Config{
-		FastBytes: rss + rss/4 + 16*tier.HugePageSize,
-		CapBytes:  tier.HugePageSize * 2,
-		CapKind:   cfg.CapKind,
-		THP:       thp,
-		Threads:   cfg.Threads,
-		Seed:      cfg.Seed,
-		Trace:     cfg.Trace,
-		Faults:    cfg.Faults,
-		Topology:  cfg.Topology,
-		Admission: cfg.Admission,
-		Mover:     cfg.Mover,
-	}
+	cfg.RecordNS = 0
+	mc := machine(capacityFor(w.Spec().RSSBytes()), minFast, thp, cfg)
 	return sim.Run(mc, NewPolicy("all-fast"), w, cfg.Accesses)
 }
 

@@ -3,16 +3,17 @@
 // policy on a hierarchy TopologyForDepth derives from the workload's
 // resident set, with the chosen admission gate installed and the
 // background mover active, and is normalised to the same policy's
-// reference cell (first depth, first admission, fault-free) — so the
-// sweep isolates what deepening the hierarchy and gating migrations
-// cost, not baseline placement quality.
+// reference cell (first depth, first admission, fault-free), which
+// removes baseline placement quality. Depth, admission and rate are
+// part of the cell seed, so each row also draws its own access stream:
+// a row's deviation from 1 mixes what deepening the hierarchy and
+// gating migrations cost with stream noise (EXPERIMENTS.md "What the
+// sweeps measure").
 package bench
 
 import (
 	"context"
 	"fmt"
-	"os"
-	"sync"
 
 	"memtis/internal/sim"
 	"memtis/internal/tier"
@@ -54,17 +55,7 @@ func depthCoord(rt Ratio, depth int, admission string, ratePpm uint32) string {
 // what keeps the sweep's reference plane comparable to every other
 // experiment in the harness.
 func TopologyForDepth(rss uint64, r Ratio, depth int, capKind tier.Kind) (*tier.Topology, error) {
-	fast := uint64(float64(rss) * r.FastFrac)
-	if fast < tier.HugePageSize*2 {
-		fast = tier.HugePageSize * 2
-	}
-	last := rss + rss/4 + 16*tier.HugePageSize
-	mid := func(b uint64) uint64 {
-		if b < tier.HugePageSize*2 {
-			return tier.HugePageSize * 2
-		}
-		return b
-	}
+	fast, last := fastFor(rss, r), capacityFor(rss)
 	t := &tier.Topology{}
 	switch depth {
 	case 2:
@@ -72,14 +63,14 @@ func TopologyForDepth(rss uint64, r Ratio, depth int, capKind tier.Kind) (*tier.
 	case 3:
 		t.Tiers = []tier.Config{
 			{Name: "DRAM", Kind: tier.DRAM, Bytes: fast},
-			{Name: "CXL", Kind: tier.CXL, Bytes: mid(rss / 2)},
+			{Name: "CXL", Kind: tier.CXL, Bytes: max(rss/2, minFast)},
 			{Name: capKind.String(), Kind: capKind, Bytes: last},
 		}
 	case 4:
 		t.Tiers = []tier.Config{
 			{Name: "DRAM", Kind: tier.DRAM, Bytes: fast},
-			{Name: "CXL", Kind: tier.CXL, Bytes: mid(rss / 2)},
-			{Name: capKind.String(), Kind: capKind, Bytes: mid(rss)},
+			{Name: "CXL", Kind: tier.CXL, Bytes: max(rss/2, minFast)},
+			{Name: capKind.String(), Kind: capKind, Bytes: max(rss, minFast)},
 			{Name: "Far", Kind: tier.Far, Bytes: last},
 		}
 	default:
@@ -98,7 +89,8 @@ func TopologyForDepth(rss uint64, r Ratio, depth int, capKind tier.Kind) (*tier.
 // Value is its throughput normalised to the same policy's reference
 // cell (depths[0], admissions[0], rates[0]) — pass slices whose first
 // elements are the intended reference plane, or nil for the defaults.
-func (r *Runner) DepthSweep(ctx context.Context, cfg Config, wname string, rt Ratio, pols []string, depths []int, admissions []string, rates []uint32) (*Matrix, error) {
+// The table has one row per (depth, admission, rate).
+func (r *Runner) DepthSweep(ctx context.Context, cfg Config, wname string, rt Ratio, pols []string, depths []int, admissions []string, rates []uint32) (*Matrix, Table, error) {
 	if pols == nil {
 		pols = Policies
 	}
@@ -112,118 +104,51 @@ func (r *Runner) DepthSweep(ctx context.Context, cfg Config, wname string, rt Ra
 		rates = DepthSweepRates
 	}
 	rss := workload.MustNew(wname).Spec().RSSBytes()
-	type cell struct {
+	type point struct {
 		depth int
 		adm   string
 		rate  uint32
 	}
-	var cells []cell
+	var points []point
 	for _, d := range depths {
 		for _, a := range admissions {
 			if _, err := tier.ParseAdmission(a); err != nil {
-				return nil, err
+				return nil, Table{}, err
 			}
 			for _, rate := range rates {
-				cells = append(cells, cell{d, a, rate})
+				points = append(points, point{d, a, rate})
 			}
 		}
 	}
 	for _, d := range depths {
 		if _, err := TopologyForDepth(rss, rt, d, cfg.CapKind); err != nil {
-			return nil, err
+			return nil, Table{}, err
 		}
 	}
-	if cfg.EventDir != "" {
-		if err := os.MkdirAll(cfg.EventDir, 0o755); err != nil {
-			return nil, err
+	var cells []sweepCell
+	for _, pt := range points {
+		for _, p := range pols {
+			cells = append(cells, sweepCell{workload: wname, coord: depthCoord(rt, pt.depth, pt.adm, pt.rate), policy: p,
+				run: func(c Config) sim.Result {
+					c.Faults.MigrateFailPpm = pt.rate
+					c.Topology, _ = TopologyForDepth(rss, rt, pt.depth, cfg.CapKind)
+					c.Admission, _ = tier.ParseAdmission(pt.adm)
+					return RunOne(wname, p, rt, c)
+				}})
 		}
 	}
-	var (
-		failMu sync.Mutex
-		failed error
-	)
-	fail := func(err error) {
-		failMu.Lock()
-		if failed == nil {
-			failed = err
-		}
-		failMu.Unlock()
+	m, err := r.sweep(ctx, cfg, cells, func(i int) int { return i % len(pols) })
+	if err != nil {
+		return nil, Table{}, err
 	}
-	results := make([]sim.Result, len(cells)*len(pols))
-	var tasks []cellTask
-	for ci, c := range cells {
-		for pi, p := range pols {
-			slot := ci*len(pols) + pi
-			coord := depthCoord(rt, c.depth, c.adm, c.rate)
-			tasks = append(tasks, cellTask{
-				label: fmt.Sprintf("%s/%s/%s", wname, coord, p),
-				run: func() uint64 {
-					ccfg := CellConfig(cfg, wname, coord, p)
-					ccfg.Faults.MigrateFailPpm = c.rate
-					ccfg.Topology, _ = TopologyForDepth(rss, rt, c.depth, cfg.CapKind)
-					ccfg.Admission, _ = tier.ParseAdmission(c.adm)
-					closeTrace, err := cellTrace(cfg.EventDir, wname, coord, p, &ccfg)
-					if err != nil {
-						fail(err)
-						return 0
-					}
-					results[slot] = RunOne(wname, p, rt, ccfg)
-					if err := closeTrace(); err != nil {
-						fail(err)
-					}
-					return results[slot].AppNS
-				},
-			})
-		}
+	refRate := "fault-free"
+	if rates[0] != 0 {
+		refRate = ppmPercent(rates[0]) + "-fault"
 	}
-	if err := r.do(ctx, tasks); err != nil {
-		return nil, err
-	}
-	if failed != nil {
-		return nil, fmt.Errorf("bench: writing event traces: %w", failed)
-	}
-	m := &Matrix{}
-	for ci, c := range cells {
-		for pi, p := range pols {
-			res := results[ci*len(pols)+pi]
-			base := results[pi] // cells[0]: the reference plane
-			m.Cells = append(m.Cells, Cell{
-				Workload: wname, Ratio: depthCoord(rt, c.depth, c.adm, c.rate), Policy: p,
-				Value: Norm(res, base), Result: res,
-			})
-		}
-	}
-	return m, nil
-}
-
-// DepthSweepTable renders a depth sweep as a (depth, admission, rate)
-// x policy table — the EXPERIMENTS.md "Depth sweep" presentation:
-// values are throughput relative to that policy's reference cell.
-func DepthSweepTable(title string, m *Matrix, wname string, rt Ratio, pols []string, depths []int, admissions []string, rates []uint32) Table {
-	if pols == nil {
-		pols = Policies
-	}
-	if depths == nil {
-		depths = DepthSweepDepths
-	}
-	if admissions == nil {
-		admissions = DepthSweepAdmissions
-	}
-	if rates == nil {
-		rates = DepthSweepRates
-	}
-	t := Table{Title: title, Header: append([]string{"depth", "admission", "fault rate"}, pols...)}
-	for _, d := range depths {
-		for _, a := range admissions {
-			for _, rate := range rates {
-				row := []interface{}{fmt.Sprintf("%d", d), a, fmt.Sprintf("%.2f%%", float64(rate)/10_000)}
-				for _, p := range pols {
-					v, _ := m.Get(wname, depthCoord(rt, d, a, rate), p)
-					row = append(row, v)
-				}
-				t.AddRow(row...)
-			}
-		}
-	}
-	return t
+	title := fmt.Sprintf("depth sweep: %s %s throughput vs hierarchy depth/admission/fault rate (normalised to each policy's depth-%d %s-admit %s run, seed %d)",
+		wname, rt.Name, depths[0], admissions[0], refRate, cfg.Seed)
+	return m, sweepTable(title, append([]string{"depth", "admission", "fault rate"}, pols...), m, len(points),
+		func(i int) []interface{} {
+			return []interface{}{points[i].depth, points[i].adm, ppmPercent(points[i].rate)}
+		}), nil
 }

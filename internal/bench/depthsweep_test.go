@@ -67,7 +67,7 @@ func TestDepthSweepTraceDeterminism(t *testing.T) {
 	runInto := func(r *Runner) map[string][]byte {
 		c := cfg
 		c.EventDir = t.TempDir()
-		m, err := r.DepthSweep(context.Background(), c, "silo", Ratio1to8, pols, depths, admissions, rates)
+		m, _, err := r.DepthSweep(context.Background(), c, "silo", Ratio1to8, pols, depths, admissions, rates)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,7 +165,7 @@ func TestDepthSweepAdmissionLedger(t *testing.T) {
 	// back.
 	cfg := DefaultConfig()
 	cfg.Accesses = 200_000
-	m, err := Sequential().DepthSweep(context.Background(), cfg, "silo", Ratio1to8,
+	m, _, err := Sequential().DepthSweep(context.Background(), cfg, "silo", Ratio1to8,
 		[]string{"nimble"}, []int{4}, []string{"always", "benefit"}, []uint32{0})
 	if err != nil {
 		t.Fatal(err)

@@ -1,15 +1,16 @@
 // The fault sweep: a (fault rate x policy) matrix quantifying how
 // gracefully each tiering system degrades when migration copies abort
 // transiently (DESIGN.md §6). Unlike the figure matrices, every cell
-// is normalised to the *same policy's* fault-free run, so the sweep
-// isolates fault sensitivity from baseline placement quality.
+// is normalised to the *same policy's* fault-free run, which removes
+// baseline placement quality. The rate is part of the cell seed, so
+// each row also draws its own access stream: a row's deviation from
+// 1 mixes fault sensitivity with stream noise (EXPERIMENTS.md "What
+// the sweeps measure").
 package bench
 
 import (
 	"context"
 	"fmt"
-	"os"
-	"sync"
 
 	"memtis/internal/sim"
 )
@@ -32,8 +33,9 @@ func faultCoord(rt Ratio, ratePpm uint32) string {
 // applies to all cells alike. A zero rate with no other fault field
 // set runs the genuinely unfaulted machine. Rates always include the
 // 0 reference (prepended when missing); each cell's Value is its
-// throughput normalised to the same policy's rate-0 run.
-func (r *Runner) FaultSweep(ctx context.Context, cfg Config, wname string, rt Ratio, pols []string, rates []uint32) (*Matrix, error) {
+// throughput normalised to the same policy's rate-0 run, and the
+// table has one row per rate.
+func (r *Runner) FaultSweep(ctx context.Context, cfg Config, wname string, rt Ratio, pols []string, rates []uint32) (*Matrix, Table, error) {
 	if pols == nil {
 		pols = Policies
 	}
@@ -43,85 +45,25 @@ func (r *Runner) FaultSweep(ctx context.Context, cfg Config, wname string, rt Ra
 	if rates[0] != 0 {
 		rates = append([]uint32{0}, rates...)
 	}
-	if cfg.EventDir != "" {
-		if err := os.MkdirAll(cfg.EventDir, 0o755); err != nil {
-			return nil, err
+	var cells []sweepCell
+	for _, rate := range rates {
+		for _, p := range pols {
+			cells = append(cells, sweepCell{workload: wname, coord: faultCoord(rt, rate), policy: p,
+				run: func(c Config) sim.Result {
+					c.Faults.MigrateFailPpm = rate
+					return RunOne(wname, p, rt, c)
+				}})
 		}
 	}
-	var (
-		failMu sync.Mutex
-		failed error
-	)
-	fail := func(err error) {
-		failMu.Lock()
-		if failed == nil {
-			failed = err
-		}
-		failMu.Unlock()
+	m, err := r.sweep(ctx, cfg, cells, func(i int) int { return i % len(pols) })
+	if err != nil {
+		return nil, Table{}, err
 	}
-	results := make([]sim.Result, len(rates)*len(pols))
-	var tasks []cellTask
-	for fi, rate := range rates {
-		for pi, p := range pols {
-			slot := fi*len(pols) + pi
-			coord := faultCoord(rt, rate)
-			tasks = append(tasks, cellTask{
-				label: fmt.Sprintf("%s/%s/%s", wname, coord, p),
-				run: func() uint64 {
-					ccfg := CellConfig(cfg, wname, coord, p)
-					ccfg.Faults.MigrateFailPpm = rate
-					closeTrace, err := cellTrace(cfg.EventDir, wname, coord, p, &ccfg)
-					if err != nil {
-						fail(err)
-						return 0
-					}
-					results[slot] = RunOne(wname, p, rt, ccfg)
-					if err := closeTrace(); err != nil {
-						fail(err)
-					}
-					return results[slot].AppNS
-				},
-			})
-		}
-	}
-	if err := r.do(ctx, tasks); err != nil {
-		return nil, err
-	}
-	if failed != nil {
-		return nil, fmt.Errorf("bench: writing event traces: %w", failed)
-	}
-	m := &Matrix{}
-	for fi, rate := range rates {
-		for pi, p := range pols {
-			res := results[fi*len(pols)+pi]
-			base := results[pi] // rates[0] == 0: the fault-free row
-			m.Cells = append(m.Cells, Cell{
-				Workload: wname, Ratio: faultCoord(rt, rate), Policy: p,
-				Value: Norm(res, base), Result: res,
-			})
-		}
-	}
-	return m, nil
+	title := fmt.Sprintf("fault sweep: %s %s throughput vs copy-abort rate (normalised to each policy's fault-free run, seed %d)",
+		wname, rt.Name, cfg.Seed)
+	return m, sweepTable(title, append([]string{"fault rate"}, pols...), m, len(rates),
+		func(i int) []interface{} { return []interface{}{ppmPercent(rates[i])} }), nil
 }
 
-// FaultSweepTable renders a fault sweep as a rate x policy table (the
-// EXPERIMENTS.md "Fault sweep" presentation): rows are abort rates,
-// values are throughput relative to that policy's fault-free run.
-func FaultSweepTable(title string, m *Matrix, wname string, rt Ratio, pols []string, rates []uint32) Table {
-	if pols == nil {
-		pols = Policies
-	}
-	if rates == nil {
-		rates = FaultRates
-	}
-	t := Table{Title: title, Header: append([]string{"fault rate"}, pols...)}
-	for _, rate := range rates {
-		row := []interface{}{fmt.Sprintf("%.2f%%", float64(rate)/10_000)}
-		for _, p := range pols {
-			v, _ := m.Get(wname, faultCoord(rt, rate), p)
-			row = append(row, v)
-		}
-		t.AddRow(row...)
-	}
-	return t
-}
+// ppmPercent spells a parts-per-million rate as a percentage.
+func ppmPercent(ppm uint32) string { return fmt.Sprintf("%.2f%%", float64(ppm)/10_000) }

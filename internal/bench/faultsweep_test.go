@@ -22,7 +22,7 @@ func TestFaultSweepTraceDeterminism(t *testing.T) {
 	runInto := func(r *Runner) map[string][]byte {
 		c := cfg
 		c.EventDir = t.TempDir()
-		if _, err := r.FaultSweep(context.Background(), c, "silo", Ratio1to8, pols, rates); err != nil {
+		if _, _, err := r.FaultSweep(context.Background(), c, "silo", Ratio1to8, pols, rates); err != nil {
 			t.Fatal(err)
 		}
 		return readTraces(t, c.EventDir)
@@ -72,7 +72,7 @@ func TestFaultSweepTraceDeterminism(t *testing.T) {
 func TestFaultSweepNormalisation(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Accesses = 60_000
-	m, err := Parallel(4).FaultSweep(context.Background(), cfg, "silo", Ratio1to8,
+	m, _, err := Parallel(4).FaultSweep(context.Background(), cfg, "silo", Ratio1to8,
 		[]string{"memtis", "static"}, []uint32{0, 50_000})
 	if err != nil {
 		t.Fatal(err)

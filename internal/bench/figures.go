@@ -21,21 +21,9 @@ func Fig5(cfg Config, workloads []string, ratios []Ratio, pols []string) (*Matri
 // Fig5 is the headline comparison run through the worker pool: the full
 // cell matrix plus baselines fan out; rows assemble in plot order.
 func (r *Runner) Fig5(ctx context.Context, cfg Config, workloads []string, ratios []Ratio, pols []string) (*Matrix, Table, error) {
-	if workloads == nil {
-		workloads = workloadNames()
-	}
-	if ratios == nil {
-		ratios = MainRatios
-	}
-	if pols == nil {
-		pols = Policies
-	}
-	m, err := r.RunMatrix(ctx, cfg, workloads, ratios, pols)
-	if err != nil {
-		return nil, Table{}, err
-	}
-	title := fmt.Sprintf("Figure 5: normalized performance (capacity tier: %s)", cfg.CapKind)
-	return m, MatrixTable(title, m, workloads, ratios, pols), nil
+	m, t, err := r.RunMatrix(ctx, cfg, workloads, ratios, pols)
+	t.Title = fmt.Sprintf("Figure 5: normalized performance (capacity tier: %s)", cfg.CapKind)
+	return m, t, err
 }
 
 // Fig6 is the Graph500 scalability sweep: paper RSS 128GB to 690GB with
@@ -54,72 +42,40 @@ func (r *Runner) Fig6(ctx context.Context, cfg Config, pols []string) (*Matrix, 
 	const scale = 2 << 20 // bytes per paper-GB for this figure
 	sizes := []float64{128, 192, 336, 690}
 	const fastGB = 64
-	mkCfg := func(rssGB float64, fast uint64, seed int64) sim.Config {
-		rss := uint64(rssGB * scale)
-		return sim.Config{
-			FastBytes: fast,
-			CapBytes:  rss + rss/4 + 16*tier.HugePageSize,
-			CapKind:   cfg.CapKind,
-			THP:       true,
-			Threads:   cfg.Threads,
-			Seed:      seed,
-		}
-	}
-	bases := make([]sim.Result, len(sizes))
-	results := make([]sim.Result, len(sizes)*len(pols))
-	var tasks []cellTask
-	for si, gb := range sizes {
-		label := fmt.Sprintf("%.0fGB", gb)
-		// Access budget grows with footprint so init stays a fraction.
-		acc := cfg.Accesses + uint64(gb*scale)/tier.BasePageSize*3
-		tasks = append(tasks, cellTask{
-			label: "graph500/" + label + "/baseline",
-			run: func() uint64 {
+	var cells []sweepCell
+	for _, gb := range sizes {
+		coord := fmt.Sprintf("%.0fGB", gb)
+		rss := uint64(gb * scale)
+		run := func(p string) func(Config) sim.Result {
+			return func(c Config) sim.Result {
 				w, _ := workload.NewScaled("graph500", gb*scale/workload.BytesPerPaperGB)
-				seed := CellSeed(cfg.Seed, "graph500", label, "all-capacity")
-				bases[si] = sim.Run(mkCfg(gb, tier.HugePageSize*2, seed), NewPolicy("all-capacity"), w, acc)
-				return bases[si].AppNS
-			},
-		})
-		for pi, p := range pols {
-			slot := si*len(pols) + pi
-			tasks = append(tasks, cellTask{
-				label: "graph500/" + label + "/" + p,
-				run: func() uint64 {
-					w, _ := workload.NewScaled("graph500", gb*scale/workload.BytesPerPaperGB)
-					fast := uint64(fastGB * scale)
-					if p == "hemem" {
-						over := w.Spec().SmallBytes()
-						if over < fast/2 {
-							fast -= over
-						}
+				fast := uint64(fastGB * scale)
+				switch p {
+				case "all-capacity":
+					fast, c.RecordNS = minFast, 0
+				case "hemem":
+					if over := w.Spec().SmallBytes(); over < fast/2 {
+						fast -= over
 					}
-					seed := CellSeed(cfg.Seed, "graph500", label, p)
-					results[slot] = sim.Run(mkCfg(gb, fast, seed), NewPolicy(p), w, acc)
-					return results[slot].AppNS
-				},
-			})
+				}
+				// Access budget grows with footprint so init stays a fraction.
+				acc := c.Accesses + rss/tier.BasePageSize*3
+				return sim.Run(machine(fast, capacityFor(rss), true, c), NewPolicy(p), w, acc)
+			}
+		}
+		cells = append(cells, sweepCell{workload: "graph500", coord: coord, policy: "all-capacity",
+			label: "graph500/" + coord + "/baseline", run: run("all-capacity")})
+		for _, p := range pols {
+			cells = append(cells, sweepCell{workload: "graph500", coord: coord, policy: p, run: run(p)})
 		}
 	}
-	if err := r.do(ctx, tasks); err != nil {
+	m, err := r.sweep(ctx, cfg, cells, blockRef(1+len(pols)))
+	if err != nil {
 		return nil, Table{}, err
 	}
-	m := &Matrix{}
-	t := Table{
-		Title:  "Figure 6: Graph500 under varying RSS (fast tier fixed 64GB-equivalent)",
-		Header: append([]string{"rss_gb"}, pols...),
-	}
-	for si, gb := range sizes {
-		row := []interface{}{fmt.Sprintf("%.0f", gb)}
-		for pi, p := range pols {
-			res := results[si*len(pols)+pi]
-			v := Norm(res, bases[si])
-			m.Cells = append(m.Cells, Cell{Workload: "graph500", Ratio: fmt.Sprintf("%.0fGB", gb), Policy: p, Value: v, Result: res})
-			row = append(row, v)
-		}
-		t.AddRow(row...)
-	}
-	return m, t, nil
+	return m, sweepTable("Figure 6: Graph500 under varying RSS (fast tier fixed 64GB-equivalent)",
+		append([]string{"rss_gb"}, pols...), m, len(sizes),
+		func(i int) []interface{} { return []interface{}{fmt.Sprintf("%.0f", sizes[i])} }), nil
 }
 
 // Fig7 is the 2:1 configuration (Meta's production target): MEMTIS vs
@@ -134,58 +90,32 @@ func Fig7(cfg Config) (*Matrix, Table) {
 // references, TPP, MEMTIS) out to the pool.
 func (r *Runner) Fig7(ctx context.Context, cfg Config) (*Matrix, Table, error) {
 	workloads := workloadNames()
-	pols := []string{"tpp", "memtis"}
-	type f7row struct {
-		base, dramTHP, dramNoTHP sim.Result
-		pol                      [2]sim.Result
-	}
-	rows := make([]f7row, len(workloads))
-	var tasks []cellTask
-	for wi, wname := range workloads {
-		tasks = append(tasks,
-			cellTask{label: wname + "/2:1/baseline", run: func() uint64 {
-				rows[wi].base = RunBaseline(wname, CellConfig(cfg, wname, "baseline", "all-capacity"))
-				return rows[wi].base.AppNS
-			}},
-			cellTask{label: wname + "/2:1/all-dram-thp", run: func() uint64 {
-				rows[wi].dramTHP = RunAllFast(wname, true, CellConfig(cfg, wname, "2:1", "all-dram-thp"))
-				return rows[wi].dramTHP.AppNS
-			}},
-			cellTask{label: wname + "/2:1/all-dram-nothp", run: func() uint64 {
-				rows[wi].dramNoTHP = RunAllFast(wname, false, CellConfig(cfg, wname, "2:1", "all-dram-nothp"))
-				return rows[wi].dramNoTHP.AppNS
-			}})
-		for pi, p := range pols {
-			tasks = append(tasks, cellTask{label: wname + "/2:1/" + p, run: func() uint64 {
-				rows[wi].pol[pi] = RunOne(wname, p, Ratio2to1, CellConfig(cfg, wname, "2:1", p))
-				return rows[wi].pol[pi].AppNS
-			}})
+	var cells []sweepCell
+	for _, w := range workloads {
+		cells = append(cells,
+			sweepCell{workload: w, coord: "baseline", policy: "all-capacity", label: w + "/2:1/baseline",
+				run: func(c Config) sim.Result { return RunBaseline(w, c) }},
+			sweepCell{workload: w, coord: "2:1", policy: "all-dram-thp",
+				run: func(c Config) sim.Result { return RunAllFast(w, true, c) }},
+			sweepCell{workload: w, coord: "2:1", policy: "all-dram-nothp",
+				run: func(c Config) sim.Result { return RunAllFast(w, false, c) }})
+		for _, p := range []string{"tpp", "memtis"} {
+			cells = append(cells, sweepCell{workload: w, coord: "2:1", policy: p,
+				run: func(c Config) sim.Result { return RunOne(w, p, Ratio2to1, c) }})
 		}
 	}
-	if err := r.do(ctx, tasks); err != nil {
+	m, err := r.sweep(ctx, cfg, cells, blockRef(5))
+	if err != nil {
 		return nil, Table{}, err
 	}
-	m := &Matrix{}
-	t := Table{
-		Title:  "Figure 7: 2:1 configuration",
-		Header: []string{"workload", "alldram_thp", "alldram_nothp", "tpp", "memtis"},
+	// The all-DRAM references are plotted as values only: their counters
+	// stay out of the per-cell dump.
+	for i := 0; i < len(m.Cells); i += 4 {
+		m.Cells[i].Result, m.Cells[i+1].Result = sim.Result{}, sim.Result{}
 	}
-	for wi, wname := range workloads {
-		dramTHP := Norm(rows[wi].dramTHP, rows[wi].base)
-		dramNoTHP := Norm(rows[wi].dramNoTHP, rows[wi].base)
-		row := []interface{}{wname, dramTHP, dramNoTHP}
-		for pi, p := range pols {
-			res := rows[wi].pol[pi]
-			v := Norm(res, rows[wi].base)
-			m.Cells = append(m.Cells, Cell{Workload: wname, Ratio: "2:1", Policy: p, Value: v, Result: res})
-			row = append(row, v)
-		}
-		m.Cells = append(m.Cells,
-			Cell{Workload: wname, Ratio: "2:1", Policy: "all-dram-thp", Value: dramTHP},
-			Cell{Workload: wname, Ratio: "2:1", Policy: "all-dram-nothp", Value: dramNoTHP})
-		t.AddRow(row...)
-	}
-	return m, t, nil
+	return m, sweepTable("Figure 7: 2:1 configuration",
+		[]string{"workload", "alldram_thp", "alldram_nothp", "tpp", "memtis"}, m, len(workloads),
+		func(i int) []interface{} { return []interface{}{workloads[i]} }), nil
 }
 
 // Fig8 compares MEMTIS against HeMem and HeMem+ with 16 application
@@ -201,23 +131,13 @@ func (r *Runner) Fig8(ctx context.Context, cfg Config) (*Matrix, Table, error) {
 	cfg.Threads = 16
 	workloads := workloadNames()
 	pols := []string{"hemem", "hemem+", "memtis"}
-	m, err := r.RunMatrix(ctx, cfg, workloads, []Ratio{Ratio1to2}, pols)
+	m, _, err := r.RunMatrix(ctx, cfg, workloads, []Ratio{Ratio1to2}, pols)
 	if err != nil {
 		return nil, Table{}, err
 	}
-	t := Table{
-		Title:  "Figure 8: MEMTIS vs HeMem/HeMem+ with 16 threads (1:2)",
-		Header: []string{"workload", "hemem", "hemem+", "memtis"},
-	}
-	for _, wname := range workloads {
-		row := []interface{}{wname}
-		for _, p := range pols {
-			v, _ := m.Get(wname, "1:2", p)
-			row = append(row, v)
-		}
-		t.AddRow(row...)
-	}
-	return m, t, nil
+	return m, sweepTable("Figure 8: MEMTIS vs HeMem/HeMem+ with 16 threads (1:2)",
+		append([]string{"workload"}, pols...), m, len(workloads),
+		func(i int) []interface{} { return []interface{}{workloads[i]} }), nil
 }
 
 // Fig9Series is MEMTIS's identified hot/warm/cold sizes over time.
@@ -278,32 +198,61 @@ type Fig10Row struct {
 
 // Fig10 is the warm-set and split ablation under 1:8: performance and
 // migration traffic for vanilla (no split, no warm set), +split, and
-// +split+warm (full MEMTIS).
+// +split+warm (full MEMTIS). Sequential wrapper over Runner.Fig10.
 func Fig10(cfg Config) ([]Fig10Row, Table) {
+	rows, t, _ := Sequential().Fig10(context.Background(), cfg)
+	return rows, t
+}
+
+// Fig10 fans each workload's baseline and three ablation runs out to
+// the pool. All of them draw the one access stream of cfg.Seed, so the
+// variants differ by mechanism alone.
+func (r *Runner) Fig10(ctx context.Context, cfg Config) ([]Fig10Row, Table, error) {
+	pols := []string{"memtis-vanilla", "memtis-nowarm", "memtis"}
+	var cells []sweepCell
+	for _, w := range workloadNames() {
+		cells = append(cells, sweepCell{workload: w, coord: "baseline", policy: "all-capacity", label: w + "/baseline",
+			run: sharedSeed(cfg.Seed, func(c Config) sim.Result { return RunBaseline(w, c) })})
+		for _, p := range pols {
+			cells = append(cells, sweepCell{workload: w, coord: Ratio1to8.Name, policy: p,
+				run: sharedSeed(cfg.Seed, func(c Config) sim.Result { return RunOne(w, p, Ratio1to8, c) })})
+		}
+	}
+	m, err := r.sweep(ctx, cfg, cells, blockRef(1+len(pols)))
+	if err != nil {
+		return nil, Table{}, err
+	}
 	t := Table{
 		Title:  "Figure 10: impact of warm set and huge page split (1:8)",
 		Header: []string{"workload", "perf_vanilla", "perf_split", "perf_full", "traffic_vanilla_mb", "traffic_split_mb", "traffic_full_mb"},
 	}
 	var out []Fig10Row
-	for _, wname := range workloadNames() {
-		base := RunBaseline(wname, cfg)
-		rv := RunOne(wname, "memtis-vanilla", Ratio1to8, cfg)
-		rs := RunOne(wname, "memtis-nowarm", Ratio1to8, cfg)
-		rf := RunOne(wname, "memtis", Ratio1to8, cfg)
+	for i := 0; i < len(m.Cells); i += len(pols) {
+		v, s, f := m.Cells[i], m.Cells[i+1], m.Cells[i+2]
 		row := Fig10Row{
-			Workload:       wname,
-			PerfVanilla:    Norm(rv, base),
-			PerfSplit:      Norm(rs, base),
-			PerfFull:       Norm(rf, base),
-			TrafficVanilla: rv.VM.MigratedBytes,
-			TrafficSplit:   rs.VM.MigratedBytes,
-			TrafficFull:    rf.VM.MigratedBytes,
+			Workload:       v.Workload,
+			PerfVanilla:    v.Value,
+			PerfSplit:      s.Value,
+			PerfFull:       f.Value,
+			TrafficVanilla: v.Result.VM.MigratedBytes,
+			TrafficSplit:   s.Result.VM.MigratedBytes,
+			TrafficFull:    f.Result.VM.MigratedBytes,
 		}
 		out = append(out, row)
-		t.AddRow(wname, row.PerfVanilla, row.PerfSplit, row.PerfFull,
+		t.AddRow(row.Workload, row.PerfVanilla, row.PerfSplit, row.PerfFull,
 			mb(row.TrafficVanilla), mb(row.TrafficSplit), mb(row.TrafficFull))
 	}
-	return out, t
+	return out, t, nil
+}
+
+// sharedSeed runs a cell on the base seed instead of its cell seed:
+// the ablation and sensitivity figures compare variants on one shared
+// access stream.
+func sharedSeed(seed int64, run func(Config) sim.Result) func(Config) sim.Result {
+	return func(c Config) sim.Result {
+		c.Seed = seed
+		return run(c)
+	}
 }
 
 // Fig11Series is a throughput-over-time trace for the split timeline.
@@ -401,56 +350,57 @@ func Fig12(cfg Config) ([]Fig12Row, Table) {
 
 // Fig13 is the sensitivity study: threshold-adaptation and cooling
 // intervals swept from 0.1x to 10x their defaults under 2:1, normalised
-// to the default setting.
+// to the default setting. Sequential wrapper over Runner.Fig13.
 func Fig13(cfg Config) (*Matrix, Table) {
-	muls := []float64{0.1, 0.5, 1, 2, 10}
-	m := &Matrix{}
-	t := Table{
-		Title:  "Figure 13: sensitivity to adaptation and cooling intervals (2:1)",
-		Header: []string{"workload", "param", "0.1x", "0.5x", "1x", "2x", "10x"},
-	}
-	for _, wname := range workloadNames() {
-		w := workload.MustNew(wname)
-		fastUnits := MachineFor(w.Spec(), Ratio2to1, "memtis", cfg).FastBytes / tier.BasePageSize
-		defAdapt := fastUnits / 2
-		if defAdapt < 512 {
-			defAdapt = 512
-		}
-		defCool := defAdapt * 4
-		runWith := func(adapt, cool uint64) float64 {
-			ww := workload.MustNew(wname)
-			mc := MachineFor(ww.Spec(), Ratio2to1, "memtis", cfg)
-			pol := memtis.New(memtis.Config{AdaptEvery: adapt, CoolEvery: cool})
-			res := sim.Run(mc, pol, ww, cfg.Accesses)
-			return res.Throughput
-		}
-		ref := runWith(defAdapt, defCool)
-		rowA := []interface{}{wname, "adapt"}
-		rowC := []interface{}{wname, "cool"}
-		for _, mul := range muls {
-			a := uint64(float64(defAdapt) * mul)
-			if a < 1 {
-				a = 1
-			}
-			c := uint64(float64(defCool) * mul)
-			if c < 1 {
-				c = 1
-			}
-			va, vc := 0.0, 0.0
-			if ref > 0 {
-				va = runWith(a, defCool) / ref
-				vc = runWith(defAdapt, c) / ref
-			}
-			m.Cells = append(m.Cells,
-				Cell{Workload: wname, Ratio: fmt.Sprintf("adapt-%gx", mul), Policy: "memtis", Value: va},
-				Cell{Workload: wname, Ratio: fmt.Sprintf("cool-%gx", mul), Policy: "memtis", Value: vc})
-			rowA = append(rowA, va)
-			rowC = append(rowC, vc)
-		}
-		t.AddRow(rowA...)
-		t.AddRow(rowC...)
-	}
+	m, t, _ := Sequential().Fig13(context.Background(), cfg)
 	return m, t
+}
+
+// Fig13 fans each workload's default-interval run and its scaled
+// variants out to the pool, all on the shared stream of cfg.Seed. The
+// 1x cells are the default run itself, so they reuse its result.
+func (r *Runner) Fig13(ctx context.Context, cfg Config) (*Matrix, Table, error) {
+	muls := []float64{0.1, 0.5, 1, 2, 10}
+	workloads := workloadNames()
+	var cells []sweepCell
+	for _, w := range workloads {
+		fastUnits := MachineFor(workload.MustNew(w).Spec(), Ratio2to1, "memtis", cfg).FastBytes / tier.BasePageSize
+		defAdapt := max(fastUnits/2, 512)
+		defCool := defAdapt * 4
+		runWith := func(adapt, cool uint64) func(Config) sim.Result {
+			return sharedSeed(cfg.Seed, func(c Config) sim.Result {
+				ww := workload.MustNew(w)
+				pol := memtis.New(memtis.Config{AdaptEvery: adapt, CoolEvery: cool})
+				return sim.Run(MachineFor(ww.Spec(), Ratio2to1, "memtis", c), pol, ww, c.Accesses)
+			})
+		}
+		cells = append(cells, sweepCell{workload: w, coord: Ratio2to1.Name, policy: "memtis", run: runWith(defAdapt, defCool)})
+		for _, param := range []string{"adapt", "cool"} {
+			for _, mul := range muls {
+				adapt, cool := defAdapt, defCool
+				if param == "adapt" {
+					adapt = max(uint64(float64(defAdapt)*mul), 1)
+				} else {
+					cool = max(uint64(float64(defCool)*mul), 1)
+				}
+				cell := sweepCell{workload: w, coord: fmt.Sprintf("%s-%gx", param, mul), policy: "memtis"}
+				if mul != 1 { // the 1x cell is the default run: it reuses that result
+					cell.run = runWith(adapt, cool)
+				}
+				cells = append(cells, cell)
+			}
+		}
+	}
+	m, err := r.sweep(ctx, cfg, cells, blockRef(1+2*len(muls)))
+	if err != nil {
+		return nil, Table{}, err
+	}
+	header := []string{"workload", "param"}
+	for _, mul := range muls {
+		header = append(header, fmt.Sprintf("%gx", mul))
+	}
+	return m, sweepTable("Figure 13: sensitivity to adaptation and cooling intervals (2:1)", header, m, 2*len(workloads),
+		func(i int) []interface{} { return []interface{}{workloads[i/2], []string{"adapt", "cool"}[i%2]} }), nil
 }
 
 // Fig14 repeats the comparison with emulated CXL memory (177ns) as the
@@ -464,26 +414,12 @@ func Fig14(cfg Config) (*Matrix, Table) {
 // Fig14 fans the CXL-capacity-tier comparison out to the pool.
 func (r *Runner) Fig14(ctx context.Context, cfg Config) (*Matrix, Table, error) {
 	cfg.CapKind = tier.CXL
-	workloads := workloadNames()
-	pols := []string{"tpp", "memtis"}
-	m, err := r.RunMatrix(ctx, cfg, workloads, MainRatios, pols)
+	m, t, err := r.RunMatrix(ctx, cfg, nil, MainRatios, []string{"tpp", "memtis"})
 	if err != nil {
 		return nil, Table{}, err
 	}
-	t := Table{
-		Title:  "Figure 14: MEMTIS vs TPP with CXL capacity tier",
-		Header: []string{"workload", "ratio", "tpp", "memtis"},
-	}
-	for _, wname := range workloads {
-		for _, rt := range MainRatios {
-			row := []interface{}{wname, rt.Name}
-			for _, p := range pols {
-				v, _ := m.Get(wname, rt.Name, p)
-				row = append(row, v)
-			}
-			t.AddRow(row...)
-		}
-	}
+	// The Figure 14 table has no geomean rows.
+	t.Title, t.Rows = "Figure 14: MEMTIS vs TPP with CXL capacity tier", t.Rows[:len(t.Rows)-len(MainRatios)]
 	return m, t, nil
 }
 

@@ -18,7 +18,7 @@ import (
 func TestSingleTenantGolden(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Accesses = 200_000
-	m, err := Sequential().RunMatrix(context.Background(), cfg,
+	m, _, err := Sequential().RunMatrix(context.Background(), cfg,
 		[]string{"silo"}, []Ratio{Ratio1to8}, []string{"memtis", "tpp"})
 	if err != nil {
 		t.Fatal(err)

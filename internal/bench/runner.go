@@ -1,13 +1,14 @@
-// The parallel experiment runner: fans the (workload, ratio, policy)
-// cells of an experiment matrix out to a bounded worker pool, one
-// independent simulated machine per cell, and assembles results in
+// The parallel experiment runner: every experiment that fans out is a
+// list of cells run by one sweep on a bounded worker pool, one
+// independent simulated machine per cell, with results assembled in
 // deterministic plot order regardless of completion order.
 //
 // Determinism across worker counts rests on two invariants:
 //
 //  1. Every cell derives its own RNG seed from (Config.Seed, workload,
-//     ratio, policy) via CellSeed — no cell's stream depends on how
-//     many cells ran before it, so scheduling cannot perturb results.
+//     coordinate, policy) via CellSeed — no cell's stream depends on
+//     how many cells ran before it, so scheduling cannot perturb
+//     results.
 //  2. A cell runs on a private Machine, Policy and Workload instance;
 //     no package in the simulator holds mutable global state (see
 //     TestMachinesAreIndependent in internal/sim).
@@ -227,21 +228,24 @@ func fileSafe(s string) string {
 	return strings.ReplaceAll(s, "/", "-")
 }
 
-// RunMatrix executes the (workload x ratio x policy) matrix plus the
-// per-workload all-capacity baselines every figure normalises against,
-// and assembles the normalised Matrix in plot order (workloads outer,
-// ratios, then policies) regardless of completion order. Nil slices
-// select the Figure 5 defaults.
-func (r *Runner) RunMatrix(ctx context.Context, cfg Config, workloads []string, ratios []Ratio, pols []string) (*Matrix, error) {
-	if workloads == nil {
-		workloads = workloadNames()
-	}
-	if ratios == nil {
-		ratios = MainRatios
-	}
-	if pols == nil {
-		pols = Policies
-	}
+// sweepCell is one cell of a Runner fan-out. Its coordinates derive
+// the cell seed (CellConfig), name its event trace and, unless label
+// overrides it, form its progress label; run executes the cell on the
+// cell-seeded config. A cell with a nil run is not scheduled: it takes
+// the result of the cell it normalises against.
+type sweepCell struct {
+	workload, coord, policy string
+	label                   string
+	run                     func(Config) sim.Result
+}
+
+// sweep is the one fan-out every Runner experiment goes through. It
+// runs the cells on the worker pool in list order, each on a
+// cell-seeded config carrying its own event trace under cfg.EventDir
+// (never cfg.Trace), and assembles the Matrix in list order: cell i
+// valued as its throughput normalised to cell ref(i). A cell with a
+// negative ref is a pure reference (a baseline) and is left out.
+func (r *Runner) sweep(ctx context.Context, cfg Config, cells []sweepCell, ref func(i int) int) (*Matrix, error) {
 	if cfg.EventDir != "" {
 		if err := os.MkdirAll(cfg.EventDir, 0o755); err != nil {
 			return nil, err
@@ -253,54 +257,32 @@ func (r *Runner) RunMatrix(ctx context.Context, cfg Config, workloads []string, 
 		failMu sync.Mutex
 		failed error
 	)
-	fail := func(err error) {
-		failMu.Lock()
-		if failed == nil {
-			failed = err
-		}
-		failMu.Unlock()
-	}
-	bases := make([]sim.Result, len(workloads))
-	results := make([]sim.Result, len(workloads)*len(ratios)*len(pols))
+	results := make([]sim.Result, len(cells))
 	var tasks []cellTask
-	for wi, wname := range workloads {
-		tasks = append(tasks, cellTask{
-			label: wname + "/baseline",
-			run: func() uint64 {
-				ccfg := CellConfig(cfg, wname, "baseline", "all-capacity")
-				closeTrace, err := cellTrace(cfg.EventDir, wname, "baseline", "all-capacity", &ccfg)
-				if err != nil {
-					fail(err)
-					return 0
-				}
-				bases[wi] = RunBaseline(wname, ccfg)
-				if err := closeTrace(); err != nil {
-					fail(err)
-				}
-				return bases[wi].AppNS
-			},
-		})
-		for ri, rt := range ratios {
-			for pi, p := range pols {
-				slot := (wi*len(ratios)+ri)*len(pols) + pi
-				tasks = append(tasks, cellTask{
-					label: fmt.Sprintf("%s/%s/%s", wname, rt.Name, p),
-					run: func() uint64 {
-						ccfg := CellConfig(cfg, wname, rt.Name, p)
-						closeTrace, err := cellTrace(cfg.EventDir, wname, rt.Name, p, &ccfg)
-						if err != nil {
-							fail(err)
-							return 0
-						}
-						results[slot] = RunOne(wname, p, rt, ccfg)
-						if err := closeTrace(); err != nil {
-							fail(err)
-						}
-						return results[slot].AppNS
-					},
-				})
-			}
+	for i, c := range cells {
+		if c.run == nil {
+			continue
 		}
+		label := c.label
+		if label == "" {
+			label = c.workload + "/" + c.coord + "/" + c.policy
+		}
+		tasks = append(tasks, cellTask{label: label, run: func() uint64 {
+			ccfg := CellConfig(cfg, c.workload, c.coord, c.policy)
+			closeTrace, err := cellTrace(cfg.EventDir, c.workload, c.coord, c.policy, &ccfg)
+			if err == nil {
+				results[i] = c.run(ccfg)
+				err = closeTrace()
+			}
+			if err != nil {
+				failMu.Lock()
+				if failed == nil {
+					failed = err
+				}
+				failMu.Unlock()
+			}
+			return results[i].AppNS
+		}})
 	}
 	if err := r.do(ctx, tasks); err != nil {
 		return nil, err
@@ -309,53 +291,105 @@ func (r *Runner) RunMatrix(ctx context.Context, cfg Config, workloads []string, 
 		return nil, fmt.Errorf("bench: writing event traces: %w", failed)
 	}
 	m := &Matrix{}
-	for wi, wname := range workloads {
-		for ri, rt := range ratios {
-			for pi, p := range pols {
-				res := results[(wi*len(ratios)+ri)*len(pols)+pi]
-				m.Cells = append(m.Cells, Cell{
-					Workload: wname, Ratio: rt.Name, Policy: p,
-					Value: Norm(res, bases[wi]), Result: res,
-				})
-			}
+	for i, c := range cells {
+		j := ref(i)
+		if j < 0 {
+			continue
 		}
+		if c.run == nil {
+			results[i] = results[j]
+		}
+		m.Cells = append(m.Cells, Cell{
+			Workload: c.workload, Ratio: c.coord, Policy: c.policy,
+			Value: Norm(results[i], results[j]), Result: results[i],
+		})
 	}
 	return m, nil
 }
 
-// RunAll runs the full Figure 5 matrix — every Table 2 workload, every
-// main ratio, every Figure 5 system — the heaviest standard fan-out.
-func (r *Runner) RunAll(ctx context.Context, cfg Config) (*Matrix, error) {
-	return r.RunMatrix(ctx, cfg, nil, nil, nil)
+// blockRef is the ref of a cell list laid out in blocks of n cells,
+// each led by the pure reference the rest of its block normalises to.
+func blockRef(n int) func(int) int {
+	return func(i int) int {
+		if i%n == 0 {
+			return -1
+		}
+		return i - i%n
+	}
 }
 
-// MatrixTable renders a matrix as a (workload, ratio) x policy table
-// with per-ratio geomean rows — the Figure 5 presentation, reused by
-// cmd/memtis-sim's matrix mode.
-func MatrixTable(title string, m *Matrix, workloads []string, ratios []Ratio, pols []string) Table {
-	t := Table{Title: title, Header: append([]string{"workload", "ratio"}, pols...)}
-	for _, wname := range workloads {
+// sweepTable renders a Matrix as a "row label(s) x policy" table:
+// row i leads with label(i) and takes the next len(header)-len(label(i))
+// cell values in plot order.
+func sweepTable(title string, header []string, m *Matrix, rows int, label func(i int) []interface{}) Table {
+	t := Table{Title: title, Header: header}
+	next := 0
+	for i := 0; i < rows; i++ {
+		row := label(i)
+		for n := len(header) - len(row); n > 0; n-- {
+			row = append(row, m.Cells[next].Value)
+			next++
+		}
+		t.AddRow(row...)
+	}
+	return t
+}
+
+// RunMatrix executes the (workload x ratio x policy) matrix plus the
+// per-workload all-capacity baselines every figure normalises against,
+// and assembles the normalised Matrix in plot order (workloads outer,
+// ratios, then policies) regardless of completion order, with its
+// (workload, ratio) x policy table and per-ratio geomean rows. Nil
+// slices select the Figure 5 defaults.
+func (r *Runner) RunMatrix(ctx context.Context, cfg Config, workloads []string, ratios []Ratio, pols []string) (*Matrix, Table, error) {
+	if workloads == nil {
+		workloads = workloadNames()
+	}
+	if ratios == nil {
+		ratios = MainRatios
+	}
+	if pols == nil {
+		pols = Policies
+	}
+	return r.normMatrix(ctx, cfg, workloads, ratios, pols,
+		func(i int, c Config) sim.Result { return RunBaseline(workloads[i], c) },
+		func(i int, p string, rt Ratio, c Config) sim.Result { return RunOne(workloads[i], p, rt, c) })
+}
+
+// normMatrix is the Figure 5 shape shared by workloads and scenarios:
+// per name, one all-capacity baseline (base) and then every ratio x
+// policy cell (run), each normalised to its name's baseline.
+func (r *Runner) normMatrix(ctx context.Context, cfg Config, names []string, ratios []Ratio, pols []string,
+	base func(i int, cfg Config) sim.Result, run func(i int, p string, rt Ratio, cfg Config) sim.Result) (*Matrix, Table, error) {
+	var cells []sweepCell
+	for i, name := range names {
+		cells = append(cells, sweepCell{workload: name, coord: "baseline", policy: "all-capacity", label: name + "/baseline",
+			run: func(c Config) sim.Result { return base(i, c) }})
 		for _, rt := range ratios {
-			row := []interface{}{wname, rt.Name}
 			for _, p := range pols {
-				v, _ := m.Get(wname, rt.Name, p)
-				row = append(row, v)
+				cells = append(cells, sweepCell{workload: name, coord: rt.Name, policy: p,
+					run: func(c Config) sim.Result { return run(i, p, rt, c) }})
 			}
-			t.AddRow(row...)
 		}
 	}
-	for _, rt := range ratios {
+	m, err := r.sweep(ctx, cfg, cells, blockRef(1+len(ratios)*len(pols)))
+	if err != nil {
+		return nil, Table{}, err
+	}
+	title := fmt.Sprintf("normalized performance (capacity tier: %s, seed %d, %d accesses/cell)",
+		cfg.CapKind, cfg.Seed, cfg.Accesses)
+	t := sweepTable(title, append([]string{"workload", "ratio"}, pols...), m, len(names)*len(ratios),
+		func(i int) []interface{} { return []interface{}{names[i/len(ratios)], ratios[i%len(ratios)].Name} })
+	for ri, rt := range ratios {
 		row := []interface{}{"geomean", rt.Name}
-		for _, p := range pols {
+		for pi := range pols {
 			var vals []float64
-			for _, wname := range workloads {
-				if v, ok := m.Get(wname, rt.Name, p); ok {
-					vals = append(vals, v)
-				}
+			for ni := range names {
+				vals = append(vals, m.Cells[(ni*len(ratios)+ri)*len(pols)+pi].Value)
 			}
 			row = append(row, Geomean(vals))
 		}
 		t.AddRow(row...)
 	}
-	return t
+	return m, t, nil
 }

@@ -58,15 +58,15 @@ func TestRunMatrixDeterminism(t *testing.T) {
 	ws, rs, ps := subMatrix()
 	ctx := context.Background()
 
-	seq1, err := Sequential().RunMatrix(ctx, cfg, ws, rs, ps)
+	seq1, _, err := Sequential().RunMatrix(ctx, cfg, ws, rs, ps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq2, err := Sequential().RunMatrix(ctx, cfg, ws, rs, ps)
+	seq2, _, err := Sequential().RunMatrix(ctx, cfg, ws, rs, ps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Parallel(8).RunMatrix(ctx, cfg, ws, rs, ps)
+	par, _, err := Parallel(8).RunMatrix(ctx, cfg, ws, rs, ps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,12 +88,12 @@ func TestRunMatrixSeedSensitivity(t *testing.T) {
 	ws := []string{"silo"}
 	rs := []Ratio{Ratio1to8}
 	ps := []string{"memtis"}
-	a, err := Sequential().RunMatrix(context.Background(), cfg, ws, rs, ps)
+	a, _, err := Sequential().RunMatrix(context.Background(), cfg, ws, rs, ps)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Seed = 43
-	b, err := Sequential().RunMatrix(context.Background(), cfg, ws, rs, ps)
+	b, _, err := Sequential().RunMatrix(context.Background(), cfg, ws, rs, ps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestRunAllShape(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.Accesses = 60_000
-	m, err := Parallel(0).RunAll(context.Background(), cfg)
+	m, _, err := Parallel(0).Fig5(context.Background(), cfg, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 
 	"memtis/internal/scenario"
 	"memtis/internal/sim"
@@ -26,29 +25,11 @@ import (
 // config's schedule. (Scenarios carry no Table 3 over-allocation data,
 // so HeMem runs without MachineFor's fast-tier reduction.)
 func ScenarioMachine(sc *scenario.Runner, r Ratio, cfg Config) sim.Config {
-	rss := sc.RSSBytes()
-	fast := uint64(float64(rss) * r.FastFrac)
-	if fast < tier.HugePageSize*2 {
-		fast = tier.HugePageSize * 2
-	}
-	faults := cfg.Faults
 	if fc := sc.FaultConfig(); fc.Enabled() {
-		faults = fc
+		cfg.Faults = fc
 	}
-	return sim.Config{
-		FastBytes: fast,
-		CapBytes:  rss + rss/4 + 16*tier.HugePageSize,
-		CapKind:   cfg.CapKind,
-		THP:       true,
-		Threads:   cfg.Threads,
-		Seed:      cfg.Seed,
-		RecordNS:  cfg.RecordNS,
-		Trace:     cfg.Trace,
-		Faults:    faults,
-		Topology:  cfg.Topology,
-		Admission: cfg.Admission,
-		Mover:     cfg.Mover,
-	}
+	rss := sc.RSSBytes()
+	return machine(fastFor(rss, r), capacityFor(rss), true, cfg)
 }
 
 // RunScenario executes one (scenario, policy, ratio) cell.
@@ -60,121 +41,31 @@ func RunScenario(sc *scenario.Runner, polName string, r Ratio, cfg Config) sim.R
 // RunScenarioBaseline executes the scenario's all-capacity-tier
 // normalisation run (the RunBaseline analogue).
 func RunScenarioBaseline(sc *scenario.Runner, cfg Config) sim.Result {
-	rss := sc.RSSBytes()
-	faults := cfg.Faults
-	if fc := sc.FaultConfig(); fc.Enabled() {
-		faults = fc
-	}
-	mc := sim.Config{
-		FastBytes: tier.HugePageSize * 2, // minimal, unused
-		CapBytes:  rss + rss/4 + 16*tier.HugePageSize,
-		CapKind:   cfg.CapKind,
-		THP:       true,
-		Threads:   cfg.Threads,
-		Seed:      cfg.Seed,
-		Trace:     cfg.Trace,
-		Faults:    faults,
-		Topology:  cfg.Topology,
-		Admission: cfg.Admission,
-		Mover:     cfg.Mover,
-	}
-	return sim.Run(mc, NewPolicy("all-capacity"), sc, cfg.Accesses)
+	cfg.RecordNS = 0
+	return RunScenario(sc, "all-capacity", allCapacity, cfg)
 }
 
 // RunScenarioMatrix executes the (scenario x ratio x policy) matrix
 // plus per-scenario all-capacity baselines, exactly like RunMatrix over
 // workloads: per-cell seeds via CellConfig keyed on the scenario name,
 // optional per-cell event traces under cfg.EventDir, results assembled
-// in plot order regardless of completion order. Compiled Runners are
-// immutable, so parallel cells share them safely. Nil ratios/pols
-// select the Figure 5 defaults.
-func (r *Runner) RunScenarioMatrix(ctx context.Context, cfg Config, scs []*scenario.Runner, ratios []Ratio, pols []string) (*Matrix, error) {
+// in plot order regardless of completion order, rendered as RunMatrix
+// renders. Compiled Runners are immutable, so parallel cells share
+// them safely. Nil ratios/pols select the Figure 5 defaults.
+func (r *Runner) RunScenarioMatrix(ctx context.Context, cfg Config, scs []*scenario.Runner, ratios []Ratio, pols []string) (*Matrix, Table, error) {
 	if ratios == nil {
 		ratios = MainRatios
 	}
 	if pols == nil {
 		pols = Policies
 	}
-	if cfg.EventDir != "" {
-		if err := os.MkdirAll(cfg.EventDir, 0o755); err != nil {
-			return nil, err
-		}
+	names := make([]string, len(scs))
+	for i, sc := range scs {
+		names[i] = sc.Name()
 	}
-	var (
-		failMu sync.Mutex
-		failed error
-	)
-	fail := func(err error) {
-		failMu.Lock()
-		if failed == nil {
-			failed = err
-		}
-		failMu.Unlock()
-	}
-	bases := make([]sim.Result, len(scs))
-	results := make([]sim.Result, len(scs)*len(ratios)*len(pols))
-	var tasks []cellTask
-	for si, sc := range scs {
-		si, sc := si, sc
-		sname := sc.Name()
-		tasks = append(tasks, cellTask{
-			label: sname + "/baseline",
-			run: func() uint64 {
-				ccfg := CellConfig(cfg, sname, "baseline", "all-capacity")
-				closeTrace, err := cellTrace(cfg.EventDir, sname, "baseline", "all-capacity", &ccfg)
-				if err != nil {
-					fail(err)
-					return 0
-				}
-				bases[si] = RunScenarioBaseline(sc, ccfg)
-				if err := closeTrace(); err != nil {
-					fail(err)
-				}
-				return bases[si].AppNS
-			},
-		})
-		for ri, rt := range ratios {
-			for pi, p := range pols {
-				rt, p := rt, p
-				slot := (si*len(ratios)+ri)*len(pols) + pi
-				tasks = append(tasks, cellTask{
-					label: fmt.Sprintf("%s/%s/%s", sname, rt.Name, p),
-					run: func() uint64 {
-						ccfg := CellConfig(cfg, sname, rt.Name, p)
-						closeTrace, err := cellTrace(cfg.EventDir, sname, rt.Name, p, &ccfg)
-						if err != nil {
-							fail(err)
-							return 0
-						}
-						results[slot] = RunScenario(sc, p, rt, ccfg)
-						if err := closeTrace(); err != nil {
-							fail(err)
-						}
-						return results[slot].AppNS
-					},
-				})
-			}
-		}
-	}
-	if err := r.do(ctx, tasks); err != nil {
-		return nil, err
-	}
-	if failed != nil {
-		return nil, fmt.Errorf("bench: writing event traces: %w", failed)
-	}
-	m := &Matrix{}
-	for si, sc := range scs {
-		for ri, rt := range ratios {
-			for pi, p := range pols {
-				res := results[(si*len(ratios)+ri)*len(pols)+pi]
-				m.Cells = append(m.Cells, Cell{
-					Workload: sc.Name(), Ratio: rt.Name, Policy: p,
-					Value: Norm(res, bases[si]), Result: res,
-				})
-			}
-		}
-	}
-	return m, nil
+	return r.normMatrix(ctx, cfg, names, ratios, pols,
+		func(i int, c Config) sim.Result { return RunScenarioBaseline(scs[i], c) },
+		func(i int, p string, rt Ratio, c Config) sim.Result { return RunScenario(scs[i], p, rt, c) })
 }
 
 // HuntParams derives the (policy, ratio) a hunt iteration pairs with

@@ -100,11 +100,11 @@ func TestScenarioMatrixDeterminism(t *testing.T) {
 	cfg.Accesses = 20_000
 	ratios := []Ratio{Ratio1to8}
 	pols := []string{"memtis", "static", "autonuma"}
-	seq, err := Sequential().RunScenarioMatrix(context.Background(), cfg, scs, ratios, pols)
+	seq, _, err := Sequential().RunScenarioMatrix(context.Background(), cfg, scs, ratios, pols)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Parallel(8).RunScenarioMatrix(context.Background(), cfg, scs, ratios, pols)
+	par, _, err := Parallel(8).RunScenarioMatrix(context.Background(), cfg, scs, ratios, pols)
 	if err != nil {
 		t.Fatal(err)
 	}

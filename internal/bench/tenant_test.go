@@ -348,7 +348,7 @@ func TestTenantTraceDeterminism(t *testing.T) {
 	runInto := func(r *Runner) map[string][]byte {
 		c := cfg
 		c.EventDir = t.TempDir()
-		if _, err := r.RunScenarioMatrix(context.Background(), c, []*scenario.Runner{sc},
+		if _, _, err := r.RunScenarioMatrix(context.Background(), c, []*scenario.Runner{sc},
 			[]Ratio{Ratio1to8}, []string{"memtis"}); err != nil {
 			t.Fatal(err)
 		}
@@ -358,7 +358,7 @@ func TestTenantTraceDeterminism(t *testing.T) {
 	sweepInto := func(r *Runner) map[string][]byte {
 		c := cfg
 		c.EventDir = t.TempDir()
-		if _, err := r.TenantSweep(context.Background(), c, Ratio1to8,
+		if _, _, err := r.TenantSweep(context.Background(), c, Ratio1to8,
 			[]string{"memtis", "tpp"}, []TenantPoint{pt}); err != nil {
 			t.Fatal(err)
 		}
@@ -408,7 +408,7 @@ func TestTenantSweep(t *testing.T) {
 	pols := []string{"memtis", "static"}
 	cfg := DefaultConfig()
 	cfg.Accesses = 40_000
-	m, err := Parallel(4).TenantSweep(context.Background(), cfg, Ratio1to8, pols, points)
+	m, tbl, err := Parallel(4).TenantSweep(context.Background(), cfg, Ratio1to8, pols, points)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +424,6 @@ func TestTenantSweep(t *testing.T) {
 			t.Fatalf("%s multi-tenant cell = %v, %v", p, v, ok)
 		}
 	}
-	tbl := TenantSweepTable("tenant sweep", m, Ratio1to8, pols, points)
 	if len(tbl.Rows) != len(points) {
 		t.Fatalf("table has %d rows, want %d", len(tbl.Rows), len(points))
 	}

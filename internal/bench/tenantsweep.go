@@ -1,15 +1,16 @@
 // The tenant sweep: a (tenant count x share skew x churn rate) x
 // policy matrix quantifying multi-tenancy overhead and fairness cost
 // (DESIGN.md §10). Every cell is normalised to the *same policy's*
-// single-tenant run, so the sweep isolates the price of contention and
-// arbitration from baseline placement quality.
+// single-tenant run, which removes baseline placement quality. The
+// point is part of the cell seed, so each row also draws its own
+// access streams: a row's deviation from 1 mixes the price of
+// contention and arbitration with stream noise (EXPERIMENTS.md "What
+// the sweeps measure").
 package bench
 
 import (
 	"context"
 	"fmt"
-	"os"
-	"sync"
 
 	"memtis/internal/fastmod"
 	"memtis/internal/sim"
@@ -155,24 +156,7 @@ func tenantSweepBytes(n int) uint64 {
 // sized from the mix's combined footprint exactly like MachineFor,
 // driven by the tenant scheduler to the full access budget.
 func RunTenants(tn *tenant.Runner, rss uint64, polName string, rt Ratio, cfg Config) sim.Result {
-	fast := uint64(float64(rss) * rt.FastFrac)
-	if fast < tier.HugePageSize*2 {
-		fast = tier.HugePageSize * 2
-	}
-	mc := sim.Config{
-		FastBytes: fast,
-		CapBytes:  rss + rss/4 + 16*tier.HugePageSize,
-		CapKind:   cfg.CapKind,
-		THP:       true,
-		Threads:   cfg.Threads,
-		Seed:      cfg.Seed,
-		RecordNS:  cfg.RecordNS,
-		Trace:     cfg.Trace,
-		Faults:    cfg.Faults,
-		Topology:  cfg.Topology,
-		Admission: cfg.Admission,
-		Mover:     cfg.Mover,
-	}
+	mc := machine(fastFor(rss, rt), capacityFor(rss), true, cfg)
 	return sim.Run(mc, NewPolicy(polName), tn, cfg.Accesses)
 }
 
@@ -181,7 +165,8 @@ func RunTenants(tn *tenant.Runner, rss uint64, polName string, rt Ratio, cfg Con
 // when missing); each cell's Value is its throughput normalised to the
 // same policy's single-tenant run, so a value of 0.8 reads "this
 // policy loses 20% throughput under this degree of multi-tenancy".
-func (r *Runner) TenantSweep(ctx context.Context, cfg Config, rt Ratio, pols []string, points []TenantPoint) (*Matrix, error) {
+// The table has one row per point.
+func (r *Runner) TenantSweep(ctx context.Context, cfg Config, rt Ratio, pols []string, points []TenantPoint) (*Matrix, Table, error) {
 	if pols == nil {
 		pols = Policies
 	}
@@ -191,103 +176,32 @@ func (r *Runner) TenantSweep(ctx context.Context, cfg Config, rt Ratio, pols []s
 	if points[0].Tenants != 1 {
 		points = append([]TenantPoint{{Tenants: 1, Skew: "flat"}}, points...)
 	}
-	if cfg.EventDir != "" {
-		if err := os.MkdirAll(cfg.EventDir, 0o755); err != nil {
-			return nil, err
-		}
-	}
-	var (
-		failMu sync.Mutex
-		failed error
-	)
-	fail := func(err error) {
-		failMu.Lock()
-		if failed == nil {
-			failed = err
-		}
-		failMu.Unlock()
-	}
-	// One immutable runner per point, shared by that point's policy
-	// cells (all run state is per-Run).
-	runners := make([]*tenant.Runner, len(points))
-	rsses := make([]uint64, len(points))
-	for i, pt := range points {
+	const wname = "tenants"
+	var cells []sweepCell
+	for _, pt := range points {
+		// One immutable runner per point, shared by that point's policy
+		// cells (all run state is per-Run).
 		tc, rss := TenantMix(pt, tenantSweepBytes(pt.Tenants))
 		tn, err := tenant.New(tc)
 		if err != nil {
-			return nil, fmt.Errorf("bench: tenant sweep point %+v: %w", pt, err)
+			return nil, Table{}, fmt.Errorf("bench: tenant sweep point %+v: %w", pt, err)
 		}
-		runners[i], rsses[i] = tn, rss
-	}
-	const wname = "tenants"
-	results := make([]sim.Result, len(points)*len(pols))
-	var tasks []cellTask
-	for ti, pt := range points {
-		for pi, p := range pols {
-			ti, pi, p := ti, pi, p
-			slot := ti*len(pols) + pi
-			coord := tenantCoord(rt, pt)
-			tasks = append(tasks, cellTask{
-				label: fmt.Sprintf("%s/%s/%s", wname, coord, p),
-				run: func() uint64 {
-					ccfg := CellConfig(cfg, wname, coord, p)
-					closeTrace, err := cellTrace(cfg.EventDir, wname, coord, p, &ccfg)
-					if err != nil {
-						fail(err)
-						return 0
-					}
-					results[slot] = RunTenants(runners[ti], rsses[ti], p, rt, ccfg)
-					if err := closeTrace(); err != nil {
-						fail(err)
-					}
-					return results[slot].AppNS
-				},
-			})
-		}
-	}
-	if err := r.do(ctx, tasks); err != nil {
-		return nil, err
-	}
-	if failed != nil {
-		return nil, fmt.Errorf("bench: writing event traces: %w", failed)
-	}
-	m := &Matrix{}
-	for ti, pt := range points {
-		for pi, p := range pols {
-			res := results[ti*len(pols)+pi]
-			base := results[pi] // points[0].Tenants == 1: the reference row
-			m.Cells = append(m.Cells, Cell{
-				Workload: wname, Ratio: tenantCoord(rt, pt), Policy: p,
-				Value: Norm(res, base), Result: res,
-			})
-		}
-	}
-	return m, nil
-}
-
-// TenantSweepTable renders a tenant sweep as a point x policy table
-// (the EXPERIMENTS.md "Tenant sweep" presentation): rows are sweep
-// points, values are throughput relative to that policy's
-// single-tenant run.
-func TenantSweepTable(title string, m *Matrix, rt Ratio, pols []string, points []TenantPoint) Table {
-	if pols == nil {
-		pols = Policies
-	}
-	if points == nil {
-		points = DefaultTenantPoints
-	}
-	t := Table{Title: title, Header: append([]string{"tenants"}, pols...)}
-	for _, pt := range points {
-		label := fmt.Sprintf("%d %s", pt.Tenants, pt.Skew)
-		if pt.ChurnFrac > 0 {
-			label += fmt.Sprintf(" churn=%d%%", int(pt.ChurnFrac*100+0.5))
-		}
-		row := []interface{}{label}
 		for _, p := range pols {
-			v, _ := m.Get("tenants", tenantCoord(rt, pt), p)
-			row = append(row, v)
+			cells = append(cells, sweepCell{workload: wname, coord: tenantCoord(rt, pt), policy: p,
+				run: func(c Config) sim.Result { return RunTenants(tn, rss, p, rt, c) }})
 		}
-		t.AddRow(row...)
 	}
-	return t
+	m, err := r.sweep(ctx, cfg, cells, func(i int) int { return i % len(pols) })
+	if err != nil {
+		return nil, Table{}, err
+	}
+	title := fmt.Sprintf("tenant sweep: %s throughput vs tenant count/skew/churn (normalised to each policy's single-tenant run, seed %d)",
+		rt.Name, cfg.Seed)
+	return m, sweepTable(title, append([]string{"tenants"}, pols...), m, len(points), func(i int) []interface{} {
+		label := fmt.Sprintf("%d %s", points[i].Tenants, points[i].Skew)
+		if points[i].ChurnFrac > 0 {
+			label += fmt.Sprintf(" churn=%d%%", int(points[i].ChurnFrac*100+0.5))
+		}
+		return []interface{}{label}
+	}), nil
 }

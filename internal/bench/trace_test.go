@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"memtis/internal/obs"
+	"memtis/internal/scenario"
 )
 
 // readTraces loads every event trace in dir keyed by file name.
@@ -48,7 +49,7 @@ func TestEventTraceGolden(t *testing.T) {
 	runInto := func(r *Runner) map[string][]byte {
 		c := cfg
 		c.EventDir = t.TempDir()
-		if _, err := r.RunMatrix(context.Background(), c, ws, rs, ps); err != nil {
+		if _, _, err := r.RunMatrix(context.Background(), c, ws, rs, ps); err != nil {
 			t.Fatal(err)
 		}
 		return readTraces(t, c.EventDir)
@@ -128,18 +129,78 @@ func TestSingleRunTrace(t *testing.T) {
 	}
 }
 
-// TestMatrixIgnoresSharedTracer: matrix runners must not hand a
-// caller-supplied tracer to parallel cells (streams would interleave).
+// TestMatrixIgnoresSharedTracer: no Runner fan-out may hand a
+// caller-supplied tracer to its cells (parallel cells would interleave
+// one stream); per-cell traces go through EventDir instead.
 func TestMatrixIgnoresSharedTracer(t *testing.T) {
-	ring := obs.NewRing(0)
-	cfg := DefaultConfig()
-	cfg.Accesses = 50_000
-	cfg.Trace = obs.NewTracer(ring)
-	ws := []string{"silo"}
-	if _, err := Sequential().RunMatrix(context.Background(), cfg, ws, []Ratio{Ratio1to8}, []string{"memtis"}); err != nil {
-		t.Fatal(err)
-	}
-	if ring.Len() != 0 {
-		t.Fatalf("matrix cells emitted %d events into the shared tracer", ring.Len())
+	ctx := context.Background()
+	one := []string{"memtis"}
+	r1to8 := []Ratio{Ratio1to8}
+	sc := scenario.MustCompile(scenario.Generate(5), scenario.Options{})
+	for _, fan := range []struct {
+		name string
+		run  func(*Runner, Config) error
+	}{
+		{"RunMatrix", func(r *Runner, c Config) error {
+			_, _, err := r.RunMatrix(ctx, c, []string{"silo"}, r1to8, one)
+			return err
+		}},
+		{"RunScenarioMatrix", func(r *Runner, c Config) error {
+			_, _, err := r.RunScenarioMatrix(ctx, c, []*scenario.Runner{sc}, r1to8, one)
+			return err
+		}},
+		{"FaultSweep", func(r *Runner, c Config) error {
+			_, _, err := r.FaultSweep(ctx, c, "silo", Ratio1to8, one, []uint32{0, 10_000})
+			return err
+		}},
+		{"DepthSweep", func(r *Runner, c Config) error {
+			_, _, err := r.DepthSweep(ctx, c, "silo", Ratio1to8, one, []int{2, 3}, []string{"always"}, []uint32{0})
+			return err
+		}},
+		{"TenantSweep", func(r *Runner, c Config) error {
+			_, _, err := r.TenantSweep(ctx, c, Ratio1to8, one, []TenantPoint{{Tenants: 1, Skew: "flat"}, {Tenants: 2, Skew: "flat"}})
+			return err
+		}},
+		{"Fig5", func(r *Runner, c Config) error {
+			_, _, err := r.Fig5(ctx, c, []string{"btree"}, r1to8, one)
+			return err
+		}},
+		{"Fig6", func(r *Runner, c Config) error {
+			_, _, err := r.Fig6(ctx, c, one)
+			return err
+		}},
+		{"Fig7", func(r *Runner, c Config) error {
+			_, _, err := r.Fig7(ctx, c)
+			return err
+		}},
+		{"Fig8", func(r *Runner, c Config) error {
+			_, _, err := r.Fig8(ctx, c)
+			return err
+		}},
+		{"Fig10", func(r *Runner, c Config) error {
+			_, _, err := r.Fig10(ctx, c)
+			return err
+		}},
+		{"Fig13", func(r *Runner, c Config) error {
+			_, _, err := r.Fig13(ctx, c)
+			return err
+		}},
+		{"Fig14", func(r *Runner, c Config) error {
+			_, _, err := r.Fig14(ctx, c)
+			return err
+		}},
+	} {
+		t.Run(fan.name, func(t *testing.T) {
+			ring := obs.NewRing(0)
+			cfg := DefaultConfig()
+			cfg.Accesses = 5_000
+			cfg.Trace = obs.NewTracer(ring)
+			if err := fan.run(Parallel(2), cfg); err != nil {
+				t.Fatal(err)
+			}
+			if ring.Len() != 0 {
+				t.Fatalf("cells emitted %d events into the shared tracer", ring.Len())
+			}
+		})
 	}
 }
